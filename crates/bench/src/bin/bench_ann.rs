@@ -43,9 +43,9 @@ use cualign_bench::{env_f64, env_u64, json::JsonRecord};
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::permutation::AlignmentInstance;
 use cualign_linalg::DenseMatrix;
-use cualign_sparsify::{ann_candidates, ann_recall, knn_candidates, AnnConfig, KnnDirection};
 use cualign_rt::rng::splitmix64;
 use cualign_rt::Rng;
+use cualign_sparsify::{ann_candidates, ann_recall, knn_candidates, AnnConfig, KnnDirection};
 
 const DIM: usize = 32;
 const PER_CLUSTER: usize = 16;
@@ -154,7 +154,10 @@ fn main() {
             let t = Instant::now();
             let e = knn_candidates(&ya, &yb, k, KnnDirection::AtoB);
             let exact_s = t.elapsed().as_secs_f64();
-            println!("  n {n:>8}: exact oracle {exact_s:>8.2}s ({} triples)", e.len());
+            println!(
+                "  n {n:>8}: exact oracle {exact_s:>8.2}s ({} triples)",
+                e.len()
+            );
             Some((e, exact_s))
         } else {
             println!("  n {n:>8}: exact oracle skipped (n > {exact_max}), recall unchecked");
@@ -292,7 +295,10 @@ fn main() {
             .multilevel_config(ml)
             .build()
             .expect("fixed e2e config is valid");
-        println!("  e2e: ER n = {e2e_n}, m = {}, levels = {e2e_levels}, ann rule", 3 * e2e_n);
+        println!(
+            "  e2e: ER n = {e2e_n}, m = {}, levels = {e2e_levels}, ann rule",
+            3 * e2e_n
+        );
         let before = ann_counters(reg);
         let t = Instant::now();
         let res = Aligner::new(cfg)

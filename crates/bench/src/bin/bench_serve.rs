@@ -36,8 +36,8 @@ fn graph_to_json(g: &CsrGraph) -> String {
     let offsets = g.offsets();
     let targets = g.targets();
     for u in 0..g.num_vertices() {
-        for idx in offsets[u]..offsets[u + 1] {
-            let v = targets[idx] as usize;
+        for &t in &targets[offsets[u]..offsets[u + 1]] {
+            let v = t as usize;
             if u < v {
                 if !edges.is_empty() {
                     edges.push(',');

@@ -6,7 +6,14 @@
 //! matrix against [`cualign_embed::pairwise_cost_reference`] and one
 //! blocked Sinkhorn plan against the seed sweep (the end-to-end glue is
 //! pinned by `embed/tests/prop_subspace.rs`). The default sink is
-//! `BENCH_subspace.json` — one JSONL record per `(anchors, d)` cell:
+//! `BENCH_subspace.json` — one JSONL record per `(anchors, d)` cell,
+//! then one `"bench":"embed"` record per vertex count `n` for the front
+//! half that feeds the alignment: the row-streaming Householder QR
+//! ([`cualign_linalg::qr::householder_qr`]) against its pinned
+//! column-at-a-time oracle on an `n × 80` Gaussian block (the default
+//! spectral block, `dim + oversample`), each the median of
+//! [`QR_REPS`] runs and asserted bit-identical in-process, plus one
+//! default [`cualign_embed::spectral_embedding`] of a BA(`n`, 4) graph:
 //!
 //! ```text
 //! cargo run --release -p cualign-bench --bin bench_subspace
@@ -17,8 +24,9 @@
 //! `CUALIGN_BENCH_SUBSPACE_ITERS` (alternation rounds, default `8`),
 //! `CUALIGN_SUBSPACE_REFERENCE_MAX` (default `768`): above this anchor
 //! count the quadratic reference alignment is skipped and the record
-//! carries `reference_s: null`. `CUALIGN_BENCH_SUBSPACE_OUT` overrides
-//! the sink path.
+//! carries `reference_s: null`. `CUALIGN_BENCH_EMBED_NS` (default
+//! `400,4000`) is the embed grid. `CUALIGN_BENCH_SUBSPACE_OUT` overrides
+//! the sink path. `host_cores` and `threads` record the host.
 
 use std::io::Write;
 use std::time::Instant;
@@ -26,14 +34,18 @@ use std::time::Instant;
 use cualign_bench::json::JsonRecord;
 use cualign_embed::{
     align_subspaces, align_subspaces_reference, pairwise_cost, pairwise_cost_reference,
-    SubspaceAlignConfig,
+    spectral_embedding, SpectralConfig, SubspaceAlignConfig,
 };
 use cualign_graph::generators::barabasi_albert;
 use cualign_graph::{CsrGraph, Permutation};
+use cualign_linalg::qr::{householder_qr, householder_qr_reference, QrDecomposition};
 use cualign_linalg::{sinkhorn, sinkhorn_reference, DenseMatrix};
-use cualign_rt::Rng;
+use cualign_rt::{par, Rng};
 
 const SEED: u64 = 42;
+
+/// Timed repetitions per QR cell; the record keeps the median.
+const QR_REPS: usize = 5;
 
 fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
     match std::env::var(name) {
@@ -103,11 +115,71 @@ fn assert_kernels_agree(inst: &Instance, cfg: &SubspaceAlignConfig, anchors: usi
     );
 }
 
+fn bits_equal(a: &DenseMatrix, b: &DenseMatrix) -> bool {
+    (a.rows(), a.cols()) == (b.rows(), b.cols())
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Median wall-clock of [`QR_REPS`] runs of `qr(a)`, and the last result.
+fn time_qr(a: &DenseMatrix, qr: fn(&DenseMatrix) -> QrDecomposition) -> (f64, QrDecomposition) {
+    let mut times = Vec::with_capacity(QR_REPS);
+    let mut out = None;
+    for _ in 0..QR_REPS {
+        let t = Instant::now();
+        out = Some(qr(a));
+        times.push(t.elapsed().as_secs_f64());
+    }
+    times.sort_by(f64::total_cmp);
+    (times[QR_REPS / 2], out.expect("QR_REPS > 0"))
+}
+
+/// One `"bench":"embed"` record: QR against its oracle on the default
+/// spectral block at `n` rows, then one default spectral embedding.
+fn embed_record(n: usize) -> String {
+    let cfg = SpectralConfig::default();
+    let block = cfg.dim + cfg.oversample;
+    let mut rng = Rng::new(SEED ^ n as u64);
+    let a = DenseMatrix::gaussian(n, block, &mut rng);
+    let (qr_s, fast) = time_qr(&a, householder_qr);
+    let (qr_reference_s, oracle) = time_qr(&a, householder_qr_reference);
+    assert!(
+        bits_equal(&fast.q, &oracle.q) && bits_equal(&fast.r, &oracle.r),
+        "householder_qr diverged bitwise from its reference at {n} × {block}"
+    );
+    let g = barabasi_albert(n, 4, &mut rng);
+    let t = Instant::now();
+    let emb = spectral_embedding(&g, &cfg);
+    let embed_s = t.elapsed().as_secs_f64();
+    assert_eq!((emb.rows(), emb.cols()), (n, cfg.dim));
+    let speedup = qr_reference_s / qr_s;
+    println!(
+        "  embed n {n:>6}, block {block}: qr {qr_s:>8.4}s vs reference {qr_reference_s:>8.4}s \
+         ({speedup:>4.1}x, bit-identical); spectral embedding {embed_s:>7.3}s"
+    );
+    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    JsonRecord::new()
+        .str("bench", "embed")
+        .int("n", n)
+        .int("block", block)
+        .int("host_cores", host_cores)
+        .int("threads", par::threads())
+        .num("qr_s", qr_s)
+        .num("qr_reference_s", qr_reference_s)
+        .num("speedup", speedup)
+        .num("embed_s", embed_s)
+        .str("bit_identical", "yes")
+        .finish()
+}
+
 fn main() {
     let anchor_grid = env_list("CUALIGN_BENCH_SUBSPACE_ANCHORS", &[256, 768]);
     let ds = env_list("CUALIGN_BENCH_SUBSPACE_DS", &[64, 128]);
     let iters = cualign_bench::env_u64("CUALIGN_BENCH_SUBSPACE_ITERS", 8) as usize;
     let reference_max = cualign_bench::env_u64("CUALIGN_SUBSPACE_REFERENCE_MAX", 768) as usize;
+    let embed_ns = env_list("CUALIGN_BENCH_EMBED_NS", &[400, 4000]);
     let out_path =
         std::env::var("CUALIGN_BENCH_SUBSPACE_OUT").unwrap_or("BENCH_subspace.json".into());
 
@@ -176,6 +248,9 @@ fn main() {
             }
             lines.push(rec.finish());
         }
+    }
+    for &n in &embed_ns {
+        lines.push(embed_record(n));
     }
 
     let mut f = std::fs::File::create(&out_path).expect("record sink is writable");

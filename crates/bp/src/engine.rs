@@ -240,7 +240,10 @@ impl<'a> BpEngine<'a> {
         // The fused A-side tail of `iterate` treats the positional
         // exclusion outputs as edge-indexed arrays.
         debug_assert!(
-            l.eids(Side::A).iter().enumerate().all(|(p, &e)| p == e as usize),
+            l.eids(Side::A)
+                .iter()
+                .enumerate()
+                .all(|(p, &e)| p == e as usize),
             "side-A incidence positions must be edge ids"
         );
         let m = l.num_edges();

@@ -11,8 +11,8 @@ use cualign_bp::othermax::{
 };
 use cualign_bp::{evaluate_matching, BpConfig, BpEngine, SweepStats};
 use cualign_graph::generators::erdos_renyi_gnm;
-use cualign_matching::locally_dominant_parallel;
 use cualign_graph::{BipartiteGraph, CsrGraph, Permutation, VertexId};
+use cualign_matching::locally_dominant_parallel;
 use cualign_overlap::OverlapMatrix;
 use cualign_rt::Rng;
 use std::sync::{Mutex, MutexGuard};

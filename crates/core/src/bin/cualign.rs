@@ -428,18 +428,28 @@ mod tests {
         let cfg = config_from_flags(&f).unwrap();
         assert!(matches!(
             cfg.sparsity,
-            SparsityChoice::Ann { k: 6, bands: 16, bits: 10, probes: 2 }
+            SparsityChoice::Ann {
+                k: 6,
+                bands: 16,
+                bits: 10,
+                probes: 2
+            }
         ));
         // Partial knobs fill in defaults; any ann flag alone suffices.
         let f = parse_flags(&v(&["--ann-probes", "3"])).unwrap();
         let cfg = config_from_flags(&f).unwrap();
-        assert!(matches!(cfg.sparsity, SparsityChoice::Ann { probes: 3, .. }));
+        assert!(matches!(
+            cfg.sparsity,
+            SparsityChoice::Ann { probes: 3, .. }
+        ));
         // Conflicting with density is a clean error; bad values surface
         // the builder's validation.
         let f = parse_flags(&v(&["--ann-bits", "8", "--density", "0.05"])).unwrap();
         assert!(config_from_flags(&f).unwrap_err().contains("--density"));
         let f = parse_flags(&v(&["--ann-bits", "40"])).unwrap();
-        assert!(config_from_flags(&f).unwrap_err().contains("sparsity.ann.bits"));
+        assert!(config_from_flags(&f)
+            .unwrap_err()
+            .contains("sparsity.ann.bits"));
     }
 
     #[test]

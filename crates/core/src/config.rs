@@ -160,7 +160,10 @@ impl AlignerConfig {
                     return bad("sparsity.ann.bands", "must be at least 1".into());
                 }
                 if !(1..=32).contains(&bits) {
-                    return bad("sparsity.ann.bits", format!("must be in 1..=32, got {bits}"));
+                    return bad(
+                        "sparsity.ann.bits",
+                        format!("must be in 1..=32, got {bits}"),
+                    );
                 }
                 if probes > bits {
                     return bad(

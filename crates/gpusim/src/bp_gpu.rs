@@ -177,8 +177,8 @@ pub fn model_bp_iteration(
     kernels.push((
         "othermax_col",
         simulate_launch(device, exec, &mb.chunk_sizes, |sz| Footprint {
-            scattered_reads: sz,    // zp[eid]
-            contiguous_writes: sz,  // positional scratch
+            scattered_reads: sz,   // zp[eid]
+            contiguous_writes: sz, // positional scratch
             flops: 2 * sz,
             ..Default::default()
         }),
@@ -189,8 +189,8 @@ pub fn model_bp_iteration(
     kernels.push((
         "gather_damp_yc_yp",
         simulate_launch(device, exec, &m_edges, |_| Footprint {
-            contiguous_reads: 3, // pos, dc, yp
-            scattered_reads: 1,  // scratch[pos]
+            contiguous_reads: 3,  // pos, dc, yp
+            scattered_reads: 1,   // scratch[pos]
             contiguous_writes: 2, // yc, yp
             flops: 4,
             ..Default::default()

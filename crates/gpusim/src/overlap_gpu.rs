@@ -223,17 +223,20 @@ mod tests {
         // Skew: pair vertex 0 with everything, creating a hub edge whose
         // candidate-pair count dwarfs the rest.
         let n = 600;
-        let mut triples: Vec<(VertexId, VertexId, f64)> = l
-            .edges()
-            .iter()
-            .map(|e| (e.a, e.b, 0.5))
-            .collect();
+        let mut triples: Vec<(VertexId, VertexId, f64)> =
+            l.edges().iter().map(|e| (e.a, e.b, 0.5)).collect();
         for j in 0..n as VertexId {
             triples.push((0, j, 0.5));
         }
         l = BipartiteGraph::from_weighted_edges(n, n, &triples);
-        let report =
-            model_overlap_build(&a, &b, &l, &DeviceSpec::a100(), &ExecConfig::optimized(), true);
+        let report = model_overlap_build(
+            &a,
+            &b,
+            &l,
+            &DeviceSpec::a100(),
+            &ExecConfig::optimized(),
+            true,
+        );
         let names: Vec<&str> = report.phases.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["overlap_count", "overlap_offsets", "overlap_fill"]);
         let count = &report.phases[0].1;

@@ -148,7 +148,6 @@ impl CoarseningHierarchy {
     }
 }
 
-
 /// One HEM pass: returns `mate[v]` (or [`UNMATCHED`]). Vertices are
 /// visited in `(degree, structural key)` order — low-degree fringe
 /// first — and each unmatched vertex grabs its heaviest unmatched

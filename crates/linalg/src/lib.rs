@@ -10,8 +10,9 @@
 //!   by every dense multiply and by the kNN block-similarity sweep
 //!   (packed [`NR`](gemm::NR)-lane panels, 4×4 accumulator tiles, parallel
 //!   over row blocks; bit-identical to the naive loops),
-//! * [`qr`] — Householder QR and orthonormalization (used by the randomized
-//!   range finder and the FastRP-style embedding),
+//! * [`qr`] — Householder QR and orthonormalization (the dominant cost of
+//!   the spectral embedding's subspace iteration, and the randomized range
+//!   finder; row-streaming, bitwise-pinned to a column-at-a-time reference),
 //! * [`svd`] — one-sided Jacobi SVD (the paper's Eq. 2 solver takes SVDs of
 //!   small `d × d` cross-covariance matrices),
 //! * [`procrustes`] — the orthogonal-Procrustes rotation solver,

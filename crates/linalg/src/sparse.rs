@@ -236,8 +236,16 @@ impl MergePlan {
     /// Asserts the plan was built for a pattern with these offsets.
     #[inline]
     fn check_shape(&self, offsets: &[usize]) {
-        assert_eq!(self.num_rows, offsets.len() - 1, "plan/pattern row mismatch");
-        assert_eq!(self.nnz, offsets[offsets.len() - 1], "plan/pattern nnz mismatch");
+        assert_eq!(
+            self.num_rows,
+            offsets.len() - 1,
+            "plan/pattern row mismatch"
+        );
+        assert_eq!(
+            self.nnz,
+            offsets[offsets.len() - 1],
+            "plan/pattern nnz mismatch"
+        );
     }
 }
 
@@ -272,7 +280,11 @@ fn split_chunk_flat<'v, T>(plan: &MergePlan, vals: &'v mut [T]) -> Vec<&'v mut [
 
 /// Per-owned-span flat mutable output parts: chunk `i` gets the flat
 /// span covered by its owned rows (row-aligned, tiles `[0, nnz)`).
-fn split_owned_spans<'v, T>(plan: &MergePlan, offsets: &[usize], vals: &'v mut [T]) -> Vec<&'v mut [T]> {
+fn split_owned_spans<'v, T>(
+    plan: &MergePlan,
+    offsets: &[usize],
+    vals: &'v mut [T],
+) -> Vec<&'v mut [T]> {
     split_by_lens(vals, plan.chunks.iter().map(|c| c.owned_span_len(offsets)))
 }
 
@@ -368,9 +380,10 @@ pub fn row_map_reduce_reference(
     );
     for (r, yv) in y.iter_mut().enumerate() {
         let mut sum = 0.0;
-        for j in offsets[r]..offsets[r + 1] {
+        let (lo, hi) = (offsets[r], offsets[r + 1]);
+        for (j, slot) in (lo..hi).zip(&mut vals_out[lo..hi]) {
             let v = map(j);
-            vals_out[j] = v;
+            *slot = v;
             sum += v;
         }
         *yv = init(r) + sum;
@@ -454,8 +467,9 @@ pub fn row_scaled_map_reference<A: Monoid>(
     let mut acc = A::default();
     for r in 0..offsets.len() - 1 {
         let v = scalar(r);
-        for j in offsets[r]..offsets[r + 1] {
-            out[j] = map(v, j, &mut acc);
+        let (lo, hi) = (offsets[r], offsets[r + 1]);
+        for (j, slot) in (lo..hi).zip(&mut out[lo..hi]) {
+            *slot = map(v, j, &mut acc);
         }
     }
     acc

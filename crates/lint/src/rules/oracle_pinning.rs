@@ -32,6 +32,7 @@ pub const MANIFEST: &str = "docs/oracle_manifest.txt";
 /// `::` segment of the row's kernel column).
 pub const REQUIRED_KERNELS: &[&str] = &[
     "matmul",
+    "householder_qr",
     "knn_candidates",
     "ann_candidates",
     "sinkhorn",
@@ -87,10 +88,9 @@ pub fn check(files: &[SourceFile], root: &Path) -> Vec<Diagnostic> {
         let kernel_name = kernel.rsplit("::").next().unwrap_or(kernel);
         covered.insert(kernel_name);
 
-        if !oracle.ends_with("_reference")
-            && !oracle.ends_with("_naive")
-            && !(kernel_names.contains(oracle) && *oracle != kernel_name)
-        {
+        let named_as_oracle = oracle.ends_with("_reference") || oracle.ends_with("_naive");
+        let pinned_kernel = kernel_names.contains(oracle) && *oracle != kernel_name;
+        if !(named_as_oracle || pinned_kernel) {
             diags.push(diag(
                 lineno,
                 format!(

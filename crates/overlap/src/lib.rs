@@ -125,7 +125,8 @@ impl OverlapMatrix {
             let mut mult = vec![0u32; marker_len];
             let mut checks = 0u64;
             let base = a_offsets[c.first_owned];
-            for u in c.first_owned..c.first_owned + c.owned_rows {
+            let owned = &a_offsets[c.first_owned..c.first_owned + c.owned_rows];
+            for (u, &row_start) in (c.first_owned..).zip(owned) {
                 let rows = l.targets_a(u as VertexId);
                 if rows.is_empty() {
                     continue;
@@ -143,7 +144,7 @@ impl OverlapMatrix {
                     }
                     checks += targets.len() as u64;
                 }
-                for (p, &v) in (a_offsets[u]..).zip(rows) {
+                for (p, &v) in (row_start..).zip(rows) {
                     debug_assert_eq!(a_eids[p] as usize, p, "side-A positions are edge ids");
                     let nbrs = b.neighbors(v);
                     let mut cnt = 0usize;

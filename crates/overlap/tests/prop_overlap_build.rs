@@ -119,11 +119,7 @@ fn build_matches_reference_on_degenerate_instances() {
     // Edgeless A: no squares exist at all.
     let a = CsrGraph::from_edges(5, &[]);
     let b = CsrGraph::from_edges(5, &[]);
-    let l = BipartiteGraph::from_weighted_edges(
-        5,
-        5,
-        &[(0, 0, 1.0), (1, 1, 1.0), (2, 3, 1.0)],
-    );
+    let l = BipartiteGraph::from_weighted_edges(5, 5, &[(0, 0, 1.0), (1, 1, 1.0), (2, 3, 1.0)]);
     assert_builds_agree(&a, &b, &l);
 
     // Graphs with edges but an empty candidate list.

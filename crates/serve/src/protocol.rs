@@ -286,12 +286,20 @@ mod tests {
         let cfg = parse_config(req.get("config")).unwrap();
         assert!(matches!(
             cfg.sparsity,
-            SparsifyMethod::Ann { k: 6, bands: 16, bits: 10, probes: 2 }
+            SparsifyMethod::Ann {
+                k: 6,
+                bands: 16,
+                bits: 10,
+                probes: 2
+            }
         ));
         // A single ann field is enough; the rest take defaults.
         let req = body(r#"{"config":{"ann_probes":3}}"#);
         let cfg = parse_config(req.get("config")).unwrap();
-        assert!(matches!(cfg.sparsity, SparsifyMethod::Ann { probes: 3, .. }));
+        assert!(matches!(
+            cfg.sparsity,
+            SparsifyMethod::Ann { probes: 3, .. }
+        ));
         // density conflicts with the ANN knobs.
         let req = body(r#"{"config":{"ann_bits":8,"density":0.05}}"#);
         let err = parse_config(req.get("config")).unwrap_err();

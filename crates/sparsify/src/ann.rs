@@ -95,10 +95,7 @@ impl AnnConfig {
     fn validate(&self) {
         assert!(self.k > 0, "ann: k must be positive");
         assert!(self.bands > 0, "ann: bands must be positive");
-        assert!(
-            (1..=32).contains(&self.bits),
-            "ann: bits must be in 1..=32"
-        );
+        assert!((1..=32).contains(&self.bits), "ann: bits must be in 1..=32");
         assert!(self.probes <= self.bits, "ann: probes must be <= bits");
     }
 }
@@ -148,7 +145,7 @@ fn gaussianish(state: &mut u64) -> f64 {
 /// `bands · bits` hyperplanes of dimension `d`, drawn from `seed`.
 fn hyperplanes(d: usize, cfg: &AnnConfig) -> DenseMatrix {
     let rows = cfg.bands * cfg.bits;
-    let mut state = cfg.seed ^ 0x5ca1_ab1e_0ddb_a11u64;
+    let mut state = cfg.seed ^ 0x5ca_1ab1_e0dd_ba11_u64;
     let data: Vec<f64> = (0..rows * d).map(|_| gaussianish(&mut state)).collect();
     DenseMatrix::from_vec(rows, d, data)
 }
@@ -261,12 +258,12 @@ fn sweep_buckets(
     par::map(&mut per_query, MIN_QUERIES, |q| {
         let mut cands: Vec<VertexId> = Vec::new();
         let mut probe_hits = 0u64;
-        for b in 0..bands {
-            let main = index[b].bucket(qsigs.keys[q * bands + b]);
+        for (b, band) in index.iter().enumerate().take(bands) {
+            let main = band.bucket(qsigs.keys[q * bands + b]);
             cands.extend(main.iter().take(MAX_BUCKET_SCAN).map(|e| e.1));
             for p in 0..probes {
                 let key = qsigs.probe_keys[(q * bands + b) * probes + p];
-                let hit = index[b].bucket(key);
+                let hit = band.bucket(key);
                 if !hit.is_empty() {
                     probe_hits += 1;
                     cands.extend(hit.iter().take(MAX_BUCKET_SCAN).map(|e| e.1));
@@ -418,17 +415,17 @@ pub fn build_alignment_graph_ann(
 /// `|ann ∩ exact| / |exact|` over `(a, b)` pairs (weights ignored — they
 /// are bit-identical by construction for shared pairs). Returns 1.0 for
 /// an empty oracle. Each call bumps `sparsify.ann.recall_checked`.
-pub fn ann_recall(
-    ann: &[(VertexId, VertexId, f64)],
-    exact: &[(VertexId, VertexId, f64)],
-) -> f64 {
+pub fn ann_recall(ann: &[(VertexId, VertexId, f64)], exact: &[(VertexId, VertexId, f64)]) -> f64 {
     ann_tele().recall_checked.add(1);
     if exact.is_empty() {
         return 1.0;
     }
     let got: std::collections::HashSet<(VertexId, VertexId)> =
         ann.iter().map(|&(a, b, _)| (a, b)).collect();
-    let hit = exact.iter().filter(|&&(a, b, _)| got.contains(&(a, b))).count();
+    let hit = exact
+        .iter()
+        .filter(|&&(a, b, _)| got.contains(&(a, b)))
+        .count();
     hit as f64 / exact.len() as f64
 }
 
@@ -462,7 +459,10 @@ mod tests {
         // ya == yb → identical signatures, so every row collides with its
         // own copy in every band; the self pair must rank first (cos 1).
         let m = gaussian_rows(50, 16, 7);
-        let cfg = AnnConfig { k: 3, ..AnnConfig::default() };
+        let cfg = AnnConfig {
+            k: 3,
+            ..AnnConfig::default()
+        };
         let ann = ann_candidates(&m, &m, &cfg, KnnDirection::AtoB);
         for q in 0..50u32 {
             let first = ann.iter().find(|t| t.0 == q).expect("row emitted");
@@ -475,9 +475,14 @@ mod tests {
     fn wl_pairs_enter_the_graph_with_exact_weights() {
         let ya = gaussian_rows(30, 8, 1);
         let yb = gaussian_rows(30, 8, 2);
-        let cfg = AnnConfig { k: 2, ..AnnConfig::default() };
+        let cfg = AnnConfig {
+            k: 2,
+            ..AnnConfig::default()
+        };
         let l = build_alignment_graph_ann(&ya, &yb, &cfg, &[(0, 5)]);
-        let e = l.edge_id(0, 5).expect("WL candidate must survive the union");
+        let e = l
+            .edge_id(0, 5)
+            .expect("WL candidate must survive the union");
         let expected = ((1.0
             + (vecops::dot(ya.row(0), yb.row(5))
                 / (vecops::norm(ya.row(0)) * vecops::norm(yb.row(5))))
@@ -506,7 +511,11 @@ mod tests {
     #[should_panic(expected = "probes must be <= bits")]
     fn rejects_probes_beyond_bits() {
         let m = gaussian_rows(4, 4, 1);
-        let cfg = AnnConfig { bits: 4, probes: 5, ..AnnConfig::default() };
+        let cfg = AnnConfig {
+            bits: 4,
+            probes: 5,
+            ..AnnConfig::default()
+        };
         let _ = ann_candidates(&m, &m, &cfg, KnnDirection::AtoB);
     }
 }

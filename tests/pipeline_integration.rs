@@ -3,7 +3,7 @@
 
 use cualign::{cone_align, Aligner, AlignerConfig, SparsityChoice};
 use cualign_bp::MatcherKind;
-use cualign_embed::{EmbeddingMethod, SpectralConfig};
+use cualign_embed::{spectral_embedding, EmbeddingMethod, SpectralConfig};
 use cualign_graph::generators::{
     barabasi_albert, duplication_divergence, erdos_renyi_gnm, watts_strogatz,
 };
@@ -281,5 +281,31 @@ fn alignment_is_identical_at_every_thread_count() {
             "{t} threads"
         );
         assert_eq!(r.s_nnz, one.s_nnz, "{t} threads");
+    }
+}
+
+/// The spectral embedding — parallel propagation and GEMM around the
+/// row-streaming QR — returns the same bits at any thread count. The
+/// average degree of 40 makes the propagation split into parallel runs
+/// at n = 400.
+#[test]
+fn spectral_embedding_is_identical_at_every_thread_count() {
+    let g = erdos_renyi_gnm(400, 8000, &mut Rng::new(9));
+    let run = |threads: usize| {
+        cualign_rt::par::with_threads(threads, || {
+            spectral_embedding(&g, &SpectralConfig::default())
+        })
+    };
+    let one = run(1);
+    for t in [2, 4] {
+        let e = run(t);
+        assert_eq!((e.rows(), e.cols()), (one.rows(), one.cols()));
+        assert!(
+            e.data()
+                .iter()
+                .zip(one.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{t} threads"
+        );
     }
 }
