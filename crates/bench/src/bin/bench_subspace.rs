@@ -1,10 +1,10 @@
-//! Subspace-alignment hot-path benchmark: the GEMM/blocked-Sinkhorn
+//! Subspace-alignment hot-path benchmark: the GEMM/scaling-Sinkhorn
 //! alternation ([`cualign_embed::align_subspaces`]) against the pinned
 //! all-reference path ([`cualign_embed::align_subspaces_reference`]) on
 //! planted rotated pairs, sweeping anchors × d. Before timing, each cell
 //! asserts kernel-level agreement on the live operands: the GEMM cost
 //! matrix against [`cualign_embed::pairwise_cost_reference`] and one
-//! blocked Sinkhorn plan against the seed sweep (the end-to-end glue is
+//! scaling-domain Sinkhorn plan against the seed sweep (the end-to-end glue is
 //! pinned by `embed/tests/prop_subspace.rs`). The default sink is
 //! `BENCH_subspace.json` — one JSONL record per `(anchors, d)` cell,
 //! then one `"bench":"embed"` record per vertex count `n` for the front
@@ -26,7 +26,7 @@
 //! count the quadratic reference alignment is skipped and the record
 //! carries `reference_s: null`. `CUALIGN_BENCH_EMBED_NS` (default
 //! `400,4000`) is the embed grid. `CUALIGN_BENCH_SUBSPACE_OUT` overrides
-//! the sink path. `host_cores` and `threads` record the host.
+//! the sink path. Every record carries `host_cores` and `threads`.
 
 use std::io::Write;
 use std::time::Instant;
@@ -136,6 +136,10 @@ fn time_qr(a: &DenseMatrix, qr: fn(&DenseMatrix) -> QrDecomposition) -> (f64, Qr
     (times[QR_REPS / 2], out.expect("QR_REPS > 0"))
 }
 
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |c| c.get())
+}
+
 /// One `"bench":"embed"` record: QR against its oracle on the default
 /// spectral block at `n` rows, then one default spectral embedding.
 fn embed_record(n: usize) -> String {
@@ -159,12 +163,11 @@ fn embed_record(n: usize) -> String {
         "  embed n {n:>6}, block {block}: qr {qr_s:>8.4}s vs reference {qr_reference_s:>8.4}s \
          ({speedup:>4.1}x, bit-identical); spectral embedding {embed_s:>7.3}s"
     );
-    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     JsonRecord::new()
         .str("bench", "embed")
         .int("n", n)
         .int("block", block)
-        .int("host_cores", host_cores)
+        .int("host_cores", host_cores())
         .int("threads", par::threads())
         .num("qr_s", qr_s)
         .num("qr_reference_s", qr_reference_s)
@@ -210,6 +213,8 @@ fn main() {
                 .int("anchors", anchors)
                 .int("d", d)
                 .int("iterations", iters)
+                .int("host_cores", host_cores())
+                .int("threads", par::threads())
                 .num("fast_s", fast_s)
                 .num(
                     "final_round_cost",

@@ -29,7 +29,7 @@
 //!   [`gemm::dot_block`] Gram sweep plus two row-norm vectors — in
 //!   [`pairwise_cost`]; the seed scalar loop survives as
 //!   [`pairwise_cost_reference`],
-//! * the Sinkhorn solve runs the blocked
+//! * the Sinkhorn solve runs the stabilized scaling-domain
 //!   [`sinkhorn_with`] through one reused
 //!   [`SinkhornWorkspace`] for the whole alternation (the annealed
 //!   schedule solves `iterations + 1` same-shape problems),
@@ -437,7 +437,7 @@ impl KernelPath {
 
     /// Barycentric projection `T · Z` of the anchor embedding through a
     /// transport plan. The fast path exploits that an annealed plan is a
-    /// near-permutation: the blocked solver materializes sub-underflow
+    /// near-permutation: the Sinkhorn solver materializes sub-underflow
     /// entries as exact zeros, so skipping them turns the `k × k × d`
     /// product into roughly `k × d` work — and skipping an exact zero
     /// term never changes a sum. The reference path keeps the seed's
@@ -541,7 +541,7 @@ fn align_impl(
 
     // One workspace for every Sinkhorn solve of the alternation: the
     // annealed schedule runs `iterations + 1` problems of identical shape,
-    // so the n·m kernel buffer and potential vectors allocate once.
+    // so the n·m Gibbs buffer and potential vectors allocate once.
     let mut ws = SinkhornWorkspace::new();
 
     // Initial rotation from a structural-feature correspondence: vertex

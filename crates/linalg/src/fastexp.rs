@@ -1,13 +1,14 @@
-//! Branchless polynomial `exp` for the Sinkhorn log-sum-exp sweeps.
+//! Branchless polynomial `exp` for the Sinkhorn solver's `n·m` exp passes.
 //!
-//! The blocked Sinkhorn solver spends essentially all of its time inside
-//! `Σ exp(v − max)` reductions. `f64::exp` is a libm call: accurate, but
-//! opaque to the vectorizer, so every reduction runs one scalar call per
-//! matrix element. [`exp_fast`] is the classic Cody–Waite range reduction
-//! (`exp(x) = 2ᵏ · exp(r)`, `|r| ≤ ln2/2`) with a degree-13 Taylor
-//! polynomial — straight-line `mul`/`add`/`round`/bit-cast code with no
-//! data-dependent branches, which LLVM auto-vectorizes inside the sweep
-//! loops.
+//! The Sinkhorn solver evaluates `exp` over the whole cost matrix when it
+//! builds its Gibbs kernel, when it materializes the plan, and in the
+//! `Σ exp(v − max)` reductions of its log-domain sweeps. `f64::exp` is a
+//! libm call: accurate, but opaque to the vectorizer, so every pass runs
+//! one scalar call per matrix element. [`exp_fast`] is the classic
+//! Cody–Waite range reduction (`exp(x) = 2ᵏ · exp(r)`, `|r| ≤ ln2/2`)
+//! with a degree-13 Taylor polynomial — straight-line
+//! `mul`/`add`/`round`/bit-cast code with no data-dependent branches,
+//! which LLVM auto-vectorizes inside the solver's loops.
 //!
 //! Accuracy: the polynomial truncation error is `r¹⁴/14! ≤ 4·10⁻¹⁸`
 //! relative, so results agree with `f64::exp` to a few ulp (pinned by the

@@ -4,41 +4,48 @@
 //! a soft correspondence between the two embeddings: a doubly-(sub)stochastic
 //! plan `T` minimizing `⟨T, C⟩ − ε·H(T)` for a pairwise cost matrix `C`.
 //! Sinkhorn alternates row/column scalings of the Gibbs kernel
-//! `K = exp(−C/ε)`; all updates run in log-space for numerical safety at
-//! small `ε`.
+//! `K = exp(−C/ε)`.
 //!
 //! Two implementations live here:
 //!
-//! * [`sinkhorn`] / [`sinkhorn_with`] — the **blocked** solver the pipeline
-//!   runs. It precomputes the scaled kernel `−C/ε` once (one reciprocal
-//!   multiply per element for the whole solve, instead of a division per
-//!   element per sweep), keeps the dual potentials in `/ε` units so the
-//!   inner loops are pure add/max/[`exp_fast`],
-//!   skips the polynomial entirely for arguments below the
-//!   [`EXP_UNDERFLOW`] cutoff (past
-//!   convergence the annealed kernel has one surviving entry per row —
-//!   the skip turns each exp-sum sweep into a compare sweep, and it is
-//!   exact: those terms are hard zeros under `exp_fast`'s flush-to-zero
-//!   contract), streams the **column** update in row-major
-//!   [`COL_BLOCK`]-wide panels (the naive column walk strides by the row
-//!   length and misses cache on every element once the matrix outgrows
-//!   L2), reuses the row log-sum-exp between the convergence check and
-//!   the next row update (two `n·m` reductions per sweep instead of
-//!   three), and reuses every buffer across iterations — and, through a
+//! * [`sinkhorn`] / [`sinkhorn_with`] — the **stabilized scaling** solver
+//!   the pipeline runs (Schmitzer, "Stabilized sparse scaling algorithms
+//!   for entropy regularized transport problems", arXiv:1610.06519). The
+//!   dual potentials are split into absorbed parts `F`, `G` (in `/ε`
+//!   units) and scalings `u`, `v`: the solver caches the Gibbs kernel
+//!   relative to the absorbed parts, `K̃ᵢⱼ = exp(Fᵢ + Gⱼ − Cᵢⱼ/ε)`, once
+//!   per solve, so each sweep is two mat-vecs — `v = ν ⊘ K̃ᵀu` streamed
+//!   row-major over [`COL_BLOCK`]-wide column panels (the naive column
+//!   walk strides by the row length and misses cache on every element
+//!   once the matrix outgrows L2), then `r = K̃v` — with no `exp` at all.
+//!   The first row update runs in the log domain, so `F` starts as the
+//!   exact first row potential. Whenever a scaling or a row sum leaves
+//!   `[SCALING_MIN, SCALING_MAX]` (or is non-finite), the solver redoes
+//!   that sweep in the log domain from the last good potentials, absorbs
+//!   the result into `F`, `G`, rebuilds `K̃` and resets `u = v = 1`: the
+//!   range keeps every entry `K̃` flushes to zero below `1e-200` of plan
+//!   mass, and the redo keeps an underflowed row (`u = ∞`) from ever
+//!   being absorbed. Every `exp` — the `K̃` build, the log-domain passes,
+//!   the final plan — is [`exp_fast`] with its strips skipped below the
+//!   [`EXP_UNDERFLOW`] cutoff (exact: those terms are hard zeros under
+//!   `exp_fast`'s flush-to-zero contract), and `−C/ε` is recomputed
+//!   inline from the borrowed cost, so the workspace holds a single `n·m`
+//!   buffer. Every buffer is reused across iterations and, through a
 //!   caller-supplied [`SinkhornWorkspace`], across solves. Annealed solve
 //!   sequences can additionally warm-start each round from the previous
 //!   round's rescaled potentials ([`sinkhorn_warm_with`]), replacing the
 //!   slow cold-start transient at small `ε` with a handful of corrective
-//!   sweeps. Row chunks and
-//!   column panels are disjoint, so parallelism never changes the
-//!   reduction order: results are deterministic under any thread count.
-//! * [`sinkhorn_reference`] — the seed implementation, kept verbatim as the
-//!   exactness oracle. `embed/tests/prop_subspace.rs` pins the blocked
-//!   solver against it on random cost matrices.
+//!   sweeps. Row chunks and column panels are disjoint and every sum runs
+//!   in a fixed order, so parallelism never changes the result: it is
+//!   bit-identical under any thread count.
+//! * [`sinkhorn_reference`] — the seed log-domain implementation, kept
+//!   verbatim as the exactness oracle. `embed/tests/prop_subspace.rs` pins
+//!   the scaling solver against it on random cost matrices.
 //!
-//! The two differ only in floating-point association (scaled-domain
-//! arithmetic and the polynomial `exp`), so plans agree to ~1e-12 — far
-//! inside the entropic smoothing of any `ε` the pipeline uses.
+//! The two take the same mathematical sweeps and differ only in
+//! floating-point association (scaling-domain sums, the polynomial `exp`),
+//! so plans agree to ~1e-12 — far inside the entropic smoothing of any `ε`
+//! the pipeline uses.
 
 use crate::fastexp::{exp_fast, EXP_UNDERFLOW};
 use crate::DenseMatrix;
@@ -47,6 +54,14 @@ use cualign_rt::par;
 /// Column-panel width of the blocked column update: 256 lanes = 2 KiB of
 /// kernel row per stream step, a full prefetch-friendly stride.
 pub const COL_BLOCK: usize = 256;
+
+/// Lower end of the range a scaling or row sum may take before the solver
+/// stabilizes. An entry `exp_fast` flushes to zero (`< e⁻⁷⁰⁸ ≈ 1e-307`)
+/// then weighs at most `1e-307 · SCALING_MAX²` = `1e-207` in the plan.
+const SCALING_MIN: f64 = 1e-50;
+
+/// Upper end of the scaling range; see [`SCALING_MIN`].
+const SCALING_MAX: f64 = 1e50;
 
 /// Sinkhorn solver parameters.
 #[derive(Clone, Copy, Debug)]
@@ -76,6 +91,10 @@ pub struct TransportPlan {
     pub plan: DenseMatrix,
     /// Iterations actually used.
     pub iterations: usize,
+    /// Of those, the sweeps the scaling solver redid in the log domain
+    /// because a scaling left its safe range (always 0 for
+    /// [`sinkhorn_reference`], which runs in the log domain throughout).
+    pub stabilized_sweeps: usize,
     /// Final L1 marginal violation.
     pub marginal_error: f64,
 }
@@ -84,19 +103,29 @@ pub struct TransportPlan {
 ///
 /// One Sinkhorn-annealed subspace alignment solves `iterations + 1`
 /// transport problems of identical shape; routing them through one
-/// workspace means the `n·m` scaled-kernel buffer and the potential/LSE
+/// workspace means the `n·m` Gibbs buffer and the potential/scaling
 /// vectors are allocated once per alignment instead of once per solve.
 #[derive(Debug, Default)]
 pub struct SinkhornWorkspace {
-    /// `−C/ε`, the log-domain Gibbs kernel (`n·m`).
-    kernel: Vec<f64>,
-    /// Row potentials in `/ε` units (`f/ε`).
+    /// `K̃ = exp(F + G − C/ε)`, the Gibbs kernel relative to the absorbed
+    /// potentials (`n·m`).
+    gibbs: Vec<f64>,
+    /// Absorbed row potentials `F` in `/ε` units; the final `f/ε` once a
+    /// solve has folded its scalings in.
     fs: Vec<f64>,
-    /// Column potentials in `/ε` units (`g/ε`).
+    /// Absorbed column potentials `G` in `/ε` units; the final `g/ε` once
+    /// a solve has folded its scalings in.
     gs: Vec<f64>,
-    /// `log Σ_j exp(gs_j + kernel_ij)` per row, shared between the
-    /// convergence check and the next row update.
-    row_lse: Vec<f64>,
+    /// Row scalings `u`.
+    u: Vec<f64>,
+    /// Column scalings `v` of the last good sweep.
+    v: Vec<f64>,
+    /// Column scalings of the sweep in flight, kept apart from `v` until
+    /// the range check accepts them.
+    v_next: Vec<f64>,
+    /// Row sums `rᵢ = Σⱼ K̃ᵢⱼ vⱼ`; the row log-sum-exp during a log-domain
+    /// sweep.
+    r: Vec<f64>,
     /// `ε` of the last completed solve — the rescaling anchor for
     /// [`sinkhorn_warm_with`]; `0` means no usable potentials.
     last_eps: f64,
@@ -127,6 +156,9 @@ const STRIP: usize = 8;
 /// polynomial `exp`), for sizing parallel runs.
 const LSE_COST: usize = 8;
 
+/// Element operations per mat-vec term (a multiply and an add).
+const MATVEC_COST: usize = 2;
+
 /// Pairwise (tree-shaped) fold of one strip of accumulators — three
 /// dependent steps instead of seven.
 #[inline(always)]
@@ -139,43 +171,44 @@ fn strip_sum(a: &[f64; STRIP]) -> f64 {
     ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
 }
 
-/// Row pass: `row_lse[i] = log Σ_j exp(gs[j] + kernel[i·m + j])`.
+/// Log-domain row pass: `row_lse[i] = log Σ_j exp(gs[j] − C_ij/ε)`, with
+/// `−C/ε` formed inline as `cost · neg_inv_eps`.
 /// Each row is a two-sweep (max, then exp-sum) reduction over contiguous
 /// memory, run [`STRIP`] lanes at a time; the parallel split is across
 /// rows only.
 /// The exp-sum sweep skips any strip whose arguments all sit below the
-/// [`EXP_UNDERFLOW`] cutoff — past convergence the annealed kernel is
-/// dominated by one near-zero entry per row, so eight compares replace
-/// eight polynomials almost everywhere. The skip is exact: skipped terms
+/// [`EXP_UNDERFLOW`] cutoff — eight compares replace eight polynomials
+/// wherever the kernel is negligible. The skip is exact: skipped terms
 /// are hard zeros under [`exp_fast`]'s flush-to-zero contract.
-fn row_lse_pass(kernel: &[f64], gs: &[f64], row_lse: &mut [f64], m: usize) {
+fn row_lse_pass(cost: &[f64], neg_inv_eps: f64, gs: &[f64], row_lse: &mut [f64]) {
+    let m = gs.len();
     let main = m - m % STRIP;
     par::map(row_lse, par::min_len_for(LSE_COST * m), |i| {
-        let krow = &kernel[i * m..(i + 1) * m];
+        let crow = &cost[i * m..(i + 1) * m];
         let mut mx = [f64::NEG_INFINITY; STRIP];
-        for (k8, g8) in krow[..main]
+        for (c8, g8) in crow[..main]
             .chunks_exact(STRIP)
             .zip(gs[..main].chunks_exact(STRIP))
         {
             for l in 0..STRIP {
-                mx[l] = mx[l].max(g8[l] + k8[l]);
+                mx[l] = mx[l].max(g8[l] + c8[l] * neg_inv_eps);
             }
         }
         let mut maxv = strip_max(&mx);
-        for (&kv, &g) in krow[main..].iter().zip(&gs[main..]) {
-            maxv = maxv.max(g + kv);
+        for (&c, &g) in crow[main..].iter().zip(&gs[main..]) {
+            maxv = maxv.max(g + c * neg_inv_eps);
         }
         if maxv == f64::NEG_INFINITY {
             return f64::NEG_INFINITY;
         }
         let mut acc = [0.0f64; STRIP];
-        for (k8, g8) in krow[..main]
+        for (c8, g8) in crow[..main]
             .chunks_exact(STRIP)
             .zip(gs[..main].chunks_exact(STRIP))
         {
             let mut a = [0.0f64; STRIP];
             for l in 0..STRIP {
-                a[l] = g8[l] + k8[l] - maxv;
+                a[l] = g8[l] + c8[l] * neg_inv_eps - maxv;
             }
             if strip_max(&a) > EXP_UNDERFLOW {
                 for l in 0..STRIP {
@@ -184,8 +217,8 @@ fn row_lse_pass(kernel: &[f64], gs: &[f64], row_lse: &mut [f64], m: usize) {
             }
         }
         let mut sum = strip_sum(&acc);
-        for (&kv, &g) in krow[main..].iter().zip(&gs[main..]) {
-            let a = g + kv - maxv;
+        for (&c, &g) in crow[main..].iter().zip(&gs[main..]) {
+            let a = g + c * neg_inv_eps - maxv;
             if a > EXP_UNDERFLOW {
                 sum += exp_fast(a);
             }
@@ -194,12 +227,12 @@ fn row_lse_pass(kernel: &[f64], gs: &[f64], row_lse: &mut [f64], m: usize) {
     });
 }
 
-/// Column pass: `gs[j] = log ν − log Σ_i exp(fs[i] + kernel[i·m + j])`,
-/// streamed row-major over [`COL_BLOCK`]-wide panels so every kernel
+/// Log-domain column pass: `gs[j] = log ν − log Σ_i exp(fs[i] − C_ij/ε)`,
+/// streamed row-major over [`COL_BLOCK`]-wide panels so every cost
 /// element arrives on a fully-used cache line. Per-column accumulation
 /// still runs in strictly increasing `i` order: deterministic under any
 /// parallel split.
-fn col_pass(kernel: &[f64], fs: &[f64], gs: &mut [f64], log_nu: f64) {
+fn col_pass(cost: &[f64], neg_inv_eps: f64, fs: &[f64], gs: &mut [f64], log_nu: f64) {
     let n = fs.len();
     let m = gs.len();
     let blocks: Vec<&mut [f64]> = gs.chunks_mut(COL_BLOCK).collect();
@@ -213,21 +246,21 @@ fn col_pass(kernel: &[f64], fs: &[f64], gs: &mut [f64], log_nu: f64) {
             let w = gblock.len().min(COL_BLOCK);
             let mut maxs = [f64::NEG_INFINITY; COL_BLOCK];
             for (i, &fi) in fs.iter().enumerate().take(n) {
-                let krow = &kernel[i * m + j0..i * m + j0 + w];
-                for (mx, &kv) in maxs[..w].iter_mut().zip(krow) {
-                    *mx = mx.max(fi + kv);
+                let crow = &cost[i * m + j0..i * m + j0 + w];
+                for (mx, &c) in maxs[..w].iter_mut().zip(crow) {
+                    *mx = mx.max(fi + c * neg_inv_eps);
                 }
             }
             let mut sums = [0.0f64; COL_BLOCK];
             let wmain = w - w % STRIP;
             for (i, &fi) in fs.iter().enumerate().take(n) {
-                let krow = &kernel[i * m + j0..i * m + j0 + w];
+                let crow = &cost[i * m + j0..i * m + j0 + w];
                 // Same strip-level underflow skip as the row pass, eight
                 // panel lanes at a time.
                 for b in (0..wmain).step_by(STRIP) {
                     let mut a = [0.0f64; STRIP];
                     for l in 0..STRIP {
-                        a[l] = fi + krow[b + l] - maxs[b + l];
+                        a[l] = fi + crow[b + l] * neg_inv_eps - maxs[b + l];
                     }
                     if strip_max(&a) > EXP_UNDERFLOW {
                         for l in 0..STRIP {
@@ -236,7 +269,7 @@ fn col_pass(kernel: &[f64], fs: &[f64], gs: &mut [f64], log_nu: f64) {
                     }
                 }
                 for j in wmain..w {
-                    let a = fi + krow[j] - maxs[j];
+                    let a = fi + crow[j] * neg_inv_eps - maxs[j];
                     if a > EXP_UNDERFLOW {
                         sums[j] += exp_fast(a);
                     }
@@ -253,7 +286,95 @@ fn col_pass(kernel: &[f64], fs: &[f64], gs: &mut [f64], log_nu: f64) {
     );
 }
 
-/// Runs blocked log-domain Sinkhorn on cost matrix `cost` (`n × m`) with
+/// `out[i·m + j] = exp(fs[i] + gs[j] − C_ij/ε)`: builds the relative
+/// Gibbs kernel `K̃` and materializes the final plan. Strips whose
+/// arguments all sit below [`EXP_UNDERFLOW`] are written as exact zeros
+/// without evaluating the polynomial — a converged plan is a near-
+/// permutation, so that is almost every strip, and the zeros keep the
+/// downstream Procrustes projection free of subnormal operands.
+fn gibbs_pass(cost: &[f64], neg_inv_eps: f64, fs: &[f64], gs: &[f64], out: &mut [f64]) {
+    let m = gs.len();
+    let main = m - m % STRIP;
+    let rows: Vec<&mut [f64]> = out.chunks_mut(m).collect();
+    par::for_each(rows, par::min_len_for(LSE_COST * m), |i, row| {
+        let crow = &cost[i * m..(i + 1) * m];
+        let fi = fs[i];
+        for b in (0..main).step_by(STRIP) {
+            let mut a = [0.0f64; STRIP];
+            for l in 0..STRIP {
+                a[l] = fi + gs[b + l] + crow[b + l] * neg_inv_eps;
+            }
+            let strip = &mut row[b..b + STRIP];
+            if strip_max(&a) > EXP_UNDERFLOW {
+                for l in 0..STRIP {
+                    strip[l] = exp_fast(a[l]);
+                }
+            } else {
+                strip.fill(0.0);
+            }
+        }
+        for j in main..m {
+            row[j] = exp_fast(fi + gs[j] + crow[j] * neg_inv_eps);
+        }
+    });
+}
+
+/// Column scaling: `v[j] = ν / Σ_i K̃_ij u[i]`, streamed over
+/// [`COL_BLOCK`]-wide panels like [`col_pass`], accumulating each column
+/// in strictly increasing `i`.
+fn col_scale_pass(gibbs: &[f64], u: &[f64], v: &mut [f64], nu: f64) {
+    let m = v.len();
+    let blocks: Vec<&mut [f64]> = v.chunks_mut(COL_BLOCK).collect();
+    par::for_each(
+        blocks,
+        par::min_len_for(MATVEC_COST * COL_BLOCK * u.len()),
+        |bi, vblock| {
+            let j0 = bi * COL_BLOCK;
+            let w = vblock.len().min(COL_BLOCK);
+            let mut sums = [0.0f64; COL_BLOCK];
+            for (i, &ui) in u.iter().enumerate() {
+                let krow = &gibbs[i * m + j0..i * m + j0 + w];
+                for (s, &k) in sums[..w].iter_mut().zip(krow) {
+                    *s += k * ui;
+                }
+            }
+            for (vj, &s) in vblock.iter_mut().zip(&sums[..w]) {
+                *vj = nu / s;
+            }
+        },
+    );
+}
+
+/// Row sums: `r[i] = Σ_j K̃_ij v[j]`, a contiguous dot per row in
+/// [`STRIP`] lanes; the parallel split is across rows only.
+fn row_scale_pass(gibbs: &[f64], v: &[f64], r: &mut [f64]) {
+    let m = v.len();
+    let main = m - m % STRIP;
+    par::map(r, par::min_len_for(MATVEC_COST * m), |i| {
+        let krow = &gibbs[i * m..(i + 1) * m];
+        let mut acc = [0.0f64; STRIP];
+        for (k8, v8) in krow[..main]
+            .chunks_exact(STRIP)
+            .zip(v[..main].chunks_exact(STRIP))
+        {
+            for l in 0..STRIP {
+                acc[l] += k8[l] * v8[l];
+            }
+        }
+        let mut sum = strip_sum(&acc);
+        for (&k, &vj) in krow[main..].iter().zip(&v[main..]) {
+            sum += k * vj;
+        }
+        sum
+    });
+}
+
+/// Whether every value is finite and inside `[SCALING_MIN, SCALING_MAX]`.
+fn in_range(xs: &[f64]) -> bool {
+    xs.iter().all(|x| (SCALING_MIN..=SCALING_MAX).contains(x))
+}
+
+/// Runs stabilized scaling Sinkhorn on cost matrix `cost` (`n × m`) with
 /// uniform marginals `1/n`, `1/m`. Allocates a fresh workspace; callers
 /// solving many same-shaped problems should hold a [`SinkhornWorkspace`]
 /// and call [`sinkhorn_with`].
@@ -298,6 +419,12 @@ pub fn sinkhorn_warm_with(
     sinkhorn_impl(cost, opts, ws, true)
 }
 
+/// Clears `buf` and refills it with `len` copies of `value`.
+fn reset(buf: &mut Vec<f64>, len: usize, value: f64) {
+    buf.clear();
+    buf.resize(len, value);
+}
+
 fn sinkhorn_impl(
     cost: &DenseMatrix,
     opts: &SinkhornOptions,
@@ -310,107 +437,121 @@ fn sinkhorn_impl(
     let eps = opts.epsilon;
     let log_mu = -(n as f64).ln(); // log(1/n)
     let log_nu = -(m as f64).ln(); // log(1/m)
-
-    // Scaled kernel −C/ε: ε is inverted once and applied as a multiply
-    // (the per-element quotient differs from a true divide by ≤ 1 ulp,
-    // far inside the oracle tolerance).
+    let (mu, nu) = (log_mu.exp(), log_nu.exp());
+    // −C/ε is formed inline as cost · neg_inv_eps: ε is inverted once and
+    // applied as a multiply (the per-element quotient differs from a true
+    // divide by ≤ 1 ulp, far inside the oracle tolerance).
     let neg_inv_eps = -1.0 / eps;
-    ws.kernel.clear();
-    ws.kernel.resize(n * m, 0.0);
-    if m > 0 {
-        let krows: Vec<&mut [f64]> = ws.kernel.chunks_mut(m).collect();
-        par::for_each(krows, par::min_len_for(m), |i, krow| {
-            for (k, &c) in krow.iter_mut().zip(cost.row(i)) {
-                *k = c * neg_inv_eps;
-            }
-        });
-    }
-    ws.fs.clear();
-    ws.fs.resize(n, 0.0);
-    if warm && ws.last_eps > 0.0 && ws.gs.len() == m && ws.gs.iter().all(|g| g.is_finite()) {
+    let cost = cost.data();
+    let SinkhornWorkspace {
+        gibbs,
+        fs,
+        gs,
+        u,
+        v,
+        v_next,
+        r,
+        last_eps,
+    } = ws;
+
+    if warm && *last_eps > 0.0 && gs.len() == m && gs.iter().all(|g| g.is_finite()) {
         // gs holds g/ε_prev; the same g in the new solve's units is
         // gs · (ε_prev/ε).
-        let scale = ws.last_eps / eps;
-        for g in &mut ws.gs {
+        let scale = *last_eps / eps;
+        for g in gs.iter_mut() {
             *g *= scale;
         }
     } else {
-        ws.gs.clear();
-        ws.gs.resize(m, 0.0);
+        reset(gs, m, 0.0);
     }
-    ws.row_lse.clear();
-    ws.row_lse.resize(n, 0.0);
+    // The first row update runs in the log domain, so F is exactly the
+    // first row potential and the first sweep starts from u = 1.
+    reset(fs, n, 0.0);
+    reset(r, n, 0.0);
+    row_lse_pass(cost, neg_inv_eps, gs, r);
+    for (f, &lse) in fs.iter_mut().zip(r.iter()) {
+        *f = log_mu - lse;
+    }
+    reset(gibbs, n * m, 0.0);
+    gibbs_pass(cost, neg_inv_eps, fs, gs, gibbs);
+    reset(u, n, 1.0);
+    reset(v, m, 1.0);
+    reset(v_next, m, 1.0);
+    // r = μ makes the first u exactly 1.
+    reset(r, n, mu);
 
-    // Row LSE for the initial gs = 0; thereafter it is refreshed at the
-    // bottom of the loop and shared by the convergence check *and* the
-    // next sweep's row update.
-    row_lse_pass(&ws.kernel, &ws.gs, &mut ws.row_lse, m);
-    let mu = log_mu.exp();
     let mut iterations = 0;
+    let mut stabilized_sweeps = 0;
     let mut marginal_error = f64::INFINITY;
     for it in 0..opts.max_iters {
         iterations = it + 1;
-        // fs_i ← log μ − row_lse_i  (the f-update, in /ε units).
-        for (f, &r) in ws.fs.iter_mut().zip(&ws.row_lse) {
-            *f = log_mu - r;
+        for (ui, &ri) in u.iter_mut().zip(r.iter()) {
+            *ui = mu / ri;
         }
-        col_pass(&ws.kernel, &ws.fs, &mut ws.gs, log_nu);
-        row_lse_pass(&ws.kernel, &ws.gs, &mut ws.row_lse, m);
-        // Row marginal violation (columns are exact right after their
-        // update). Summed sequentially so the convergence cutoff — and
-        // thus the whole pipeline — is run-to-run stable.
-        marginal_error = ws
-            .row_lse
-            .iter()
-            .zip(&ws.fs)
-            .map(|(&r, &f)| ((r + f).exp() - mu).abs())
-            .sum();
+        col_scale_pass(gibbs, u, v_next, nu);
+        row_scale_pass(gibbs, v_next, r);
+        if in_range(u) && in_range(v_next) && in_range(r) {
+            std::mem::swap(v, v_next);
+            // Row marginal violation (columns are exact right after their
+            // update). Summed sequentially so the convergence cutoff — and
+            // thus the whole pipeline — is run-to-run stable.
+            marginal_error = u
+                .iter()
+                .zip(r.iter())
+                .map(|(&ui, &ri)| (ui * ri - mu).abs())
+                .sum();
+        } else {
+            // Stabilizing sweep: redo this sweep in the log domain from
+            // the last good potentials, then absorb the result. The row
+            // update reads only the column side, G + ln v; absorbing the
+            // out-of-range scalings themselves would carry their error
+            // (an underflowed row's u = ∞) into F and G.
+            stabilized_sweeps += 1;
+            for (g, &vj) in gs.iter_mut().zip(v.iter()) {
+                *g += vj.ln();
+            }
+            row_lse_pass(cost, neg_inv_eps, gs, r);
+            for (f, &lse) in fs.iter_mut().zip(r.iter()) {
+                *f = log_mu - lse;
+            }
+            col_pass(cost, neg_inv_eps, fs, gs, log_nu);
+            row_lse_pass(cost, neg_inv_eps, gs, r);
+            marginal_error = 0.0;
+            for (ri, &f) in r.iter_mut().zip(fs.iter()) {
+                // Row sum of the rebuilt K̃ at v = 1.
+                *ri = (*ri + f).exp();
+                marginal_error += (*ri - mu).abs();
+            }
+            gibbs_pass(cost, neg_inv_eps, fs, gs, gibbs);
+            u.fill(1.0);
+            v.fill(1.0);
+        }
         if marginal_error < opts.tolerance {
             break;
         }
     }
-    ws.last_eps = eps;
+    // Fold the scalings into the potentials: f/ε = F + ln u, g/ε = G + ln v.
+    for (f, &ui) in fs.iter_mut().zip(u.iter()) {
+        *f += ui.ln();
+    }
+    for (g, &vj) in gs.iter_mut().zip(v.iter()) {
+        *g += vj.ln();
+    }
+    *last_eps = eps;
 
-    // Materialize the plan T(i,j) = exp(fs_i + gs_j + kernel_ij).
     let mut plan = DenseMatrix::zeros(n, m);
-    let rows: Vec<&mut [f64]> = plan.data_mut().chunks_mut(m.max(1)).collect();
-    par::for_each(rows, par::min_len_for(LSE_COST * m), |i, row| {
-        let krow = &ws.kernel[i * m..(i + 1) * m];
-        let fi = ws.fs[i];
-        // Underflow skip again: a converged plan is a near-
-        // permutation, so almost every strip is left as the exact
-        // zeros the buffer started with — which also keeps the
-        // downstream Procrustes projection free of subnormal
-        // operands.
-        let main = m - m % STRIP;
-        for b in (0..main).step_by(STRIP) {
-            let mut a = [0.0f64; STRIP];
-            for l in 0..STRIP {
-                a[l] = fi + ws.gs[b + l] + krow[b + l];
-            }
-            if strip_max(&a) > EXP_UNDERFLOW {
-                for l in 0..STRIP {
-                    row[b + l] = exp_fast(a[l]);
-                }
-            }
-        }
-        for j in main..m {
-            let a = fi + ws.gs[j] + krow[j];
-            if a > EXP_UNDERFLOW {
-                row[j] = exp_fast(a);
-            }
-        }
-    });
+    gibbs_pass(cost, neg_inv_eps, fs, gs, plan.data_mut());
 
     TransportPlan {
         plan,
         iterations,
+        stabilized_sweeps,
         marginal_error,
     }
 }
 
 /// The seed log-domain Sinkhorn, kept verbatim as the exactness oracle
-/// for the blocked solver (`embed/tests/prop_subspace.rs`) and as the
+/// for the scaling solver (`embed/tests/prop_subspace.rs`) and as the
 /// `bench_subspace` baseline. Same marginals, same convergence criterion.
 ///
 /// # Panics
@@ -503,6 +644,7 @@ pub fn sinkhorn_reference(cost: &DenseMatrix, opts: &SinkhornOptions) -> Transpo
     TransportPlan {
         plan,
         iterations,
+        stabilized_sweeps: 0,
         marginal_error,
     }
 }
@@ -551,6 +693,7 @@ mod tests {
         let tp = TransportPlan {
             plan,
             iterations: 0,
+            stabilized_sweeps: 0,
             marginal_error: 0.0,
         };
         assert_eq!(tp.argmax_rows(), vec![0, 1, 2]);
@@ -559,6 +702,7 @@ mod tests {
         let tp = TransportPlan {
             plan: DenseMatrix::from_fn(2, 2, |_, _| f64::NAN),
             iterations: 0,
+            stabilized_sweeps: 0,
             marginal_error: 0.0,
         };
         assert_eq!(tp.argmax_rows(), vec![0, 0]);
