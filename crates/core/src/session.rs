@@ -39,7 +39,8 @@ use cualign_embed::{align_subspaces, EmbeddingMethod, SubspaceAlignConfig, Subsp
 use cualign_graph::{BipartiteGraph, CsrGraph, VertexId};
 use cualign_linalg::DenseMatrix;
 use cualign_overlap::OverlapMatrix;
-use cualign_telemetry::{Counter, Registry};
+use cualign_rt::par;
+use cualign_telemetry::{Counter, Registry, SpanContext};
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -572,12 +573,26 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
         }
         self.tele.embed.misses.inc();
         let (value, seconds) = self.registry.timed("session.embed", || {
-            let y1 = self.cfg.embedding.embed(self.a.borrow());
-            let y2 = self
-                .cfg
-                .embedding
-                .with_seed_offset(B_SIDE_SEED_OFFSET)
-                .embed(self.b.borrow());
+            // A and B embed concurrently, one per thread. Loops nested in
+            // a parallel run execute inline, so each embedding runs the
+            // same serial-order code and gives the same bits at any
+            // thread count. Each side enters the caller's span path, so
+            // both `embed.spectral` spans nest under `session.embed`.
+            let sides = [
+                (self.cfg.embedding, self.a.borrow()),
+                (
+                    self.cfg.embedding.with_seed_offset(B_SIDE_SEED_OFFSET),
+                    self.b.borrow(),
+                ),
+            ];
+            let ctx = SpanContext::current();
+            let mut ys = [DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0)];
+            par::map(&mut ys, 1, |i| {
+                let _ctx = ctx.enter();
+                let (method, g) = &sides[i];
+                method.embed(g)
+            });
+            let [y1, y2] = ys;
             Embeddings { y1, y2 }
         });
         self.embeddings = Some(Cached {

@@ -42,9 +42,11 @@
 //! against it and against the kernel oracles element-wise.
 //!
 //! Telemetry (global registry): child spans `subspace.features`,
-//! `subspace.cost`, `subspace.sinkhorn`, `subspace.procrustes` attribute
-//! the alternation's time, and the `subspace.round_cost` histogram records
-//! the per-round transport cost ⟨T, C⟩.
+//! `subspace.cost`, `subspace.sinkhorn`, `subspace.project` (the
+//! barycentric projection `T·Z`, a dense GEMM) and `subspace.procrustes`
+//! (the SVD of `X₀ᵀ·target`) attribute the alternation's time, and the
+//! `subspace.round_cost` histogram records the per-round transport cost
+//! ⟨T, C⟩.
 
 use cualign_graph::{CsrGraph, VertexId};
 use cualign_linalg::procrustes::orthogonal_procrustes;
@@ -434,37 +436,18 @@ impl KernelPath {
             KernelPath::Reference => sinkhorn_reference(cost, opts),
         }
     }
+}
 
-    /// Barycentric projection `T · Z` of the anchor embedding through a
-    /// transport plan. The fast path exploits that an annealed plan is a
-    /// near-permutation: the Sinkhorn solver materializes sub-underflow
-    /// entries as exact zeros, so skipping them turns the `k × k × d`
-    /// product into roughly `k × d` work — and skipping an exact zero
-    /// term never changes a sum. The reference path keeps the seed's
-    /// dense GEMM.
-    fn project(self, plan: &DenseMatrix, z: &DenseMatrix) -> DenseMatrix {
-        match self {
-            KernelPath::Fast => {
-                let d = z.cols();
-                let mut target = DenseMatrix::zeros(plan.rows(), d);
-                if d == 0 {
-                    return target;
-                }
-                let rows: Vec<&mut [f64]> = target.data_mut().chunks_mut(d).collect();
-                par::for_each(rows, par::min_len_for(plan.cols()), |i, out| {
-                    for (j, &t) in plan.row(i).iter().enumerate() {
-                        if t != 0.0 {
-                            for (o, &zv) in out.iter_mut().zip(z.row(j)) {
-                                *o += t * zv;
-                            }
-                        }
-                    }
-                });
-                target
-            }
-            KernelPath::Reference => plan.matmul(z),
-        }
-    }
+/// Barycentric projection of the anchor embedding `z` through a
+/// transport plan: row `i` of the target is `Σ_j T(i,j)·z_j` over the
+/// row mass, which is `1/k` under uniform marginals, hence the scale by
+/// `k`. A dense GEMM: the plans of the alternation have no zero entries
+/// to skip (entropic plans are strictly positive unless an entry
+/// underflows).
+fn project(plan: &DenseMatrix, z: &DenseMatrix, k: usize) -> DenseMatrix {
+    let mut target = plan.matmul(z);
+    target.scale(k as f64);
+    target
 }
 
 /// Solves Eq. (2): finds the orthogonal `Q` aligning `y1`'s subspace to
@@ -485,9 +468,10 @@ pub fn align_subspaces(
 
 /// As [`align_subspaces`], but running the seed implementation end to
 /// end: the pinned reference kernels ([`pairwise_cost_reference`] and
-/// [`sinkhorn_reference`]), the
-/// seed's dense Procrustes projection, and the seed's full sweep budget
-/// for the feature-seeded init solve. This is the end-to-end oracle for
+/// [`sinkhorn_reference`]), cold-started solves, and the seed's full
+/// sweep budget for the feature-seeded init solve. The barycentric
+/// projection and the Procrustes solve are shared with the fast path.
+/// This is the end-to-end oracle for
 /// `tests/prop_subspace.rs` (pinned on planted instances, where both
 /// alternations converge to the same fixed point) and the
 /// `bench_subspace` speedup baseline.
@@ -591,9 +575,11 @@ fn align_impl(
         // The feature cost lives on a different scale than the embedding
         // costs of the rounds: its potentials are no continuation anchor.
         ws.forget_potentials();
+        let target = {
+            let _span = reg.span("subspace.project");
+            project(&tp.plan, &z, anchors_a.len())
+        };
         let _span = reg.span("subspace.procrustes");
-        let mut target = path.project(&tp.plan, &z);
-        target.scale(anchors_a.len() as f64);
         orthogonal_procrustes(&x0, &target)
     } else {
         DenseMatrix::identity(d)
@@ -641,11 +627,11 @@ fn align_impl(
             .sum();
         round_costs.push(tc);
         round_cost_hist.record(tc);
-        // Barycentric projection: row i of target = Σ_j T(i,j)·z_j / row-mass.
-        // With uniform marginals the row mass is 1/k, so scale by k.
+        let target = {
+            let _span = reg.span("subspace.project");
+            project(&tp.plan, &z, anchors_a.len())
+        };
         let _span = reg.span("subspace.procrustes");
-        let mut target = path.project(&tp.plan, &z);
-        target.scale(anchors_a.len() as f64);
         q = orthogonal_procrustes(&x0, &target);
     }
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the linear algebra kernels: factorization
 //! identities on random matrices of random shapes.
 
-use cualign_linalg::eig::symmetric_eigen;
-use cualign_linalg::qr::{householder_qr, householder_qr_reference};
+use cualign_graph::{generators, CsrGraph};
+use cualign_linalg::eig::{symmetric_eigen, symmetric_eigen_reference, SymmetricEigen};
+use cualign_linalg::qr::{householder_qr, householder_qr_reference, orthonormalize};
 use cualign_linalg::sinkhorn::{sinkhorn, SinkhornOptions};
 use cualign_linalg::svd::jacobi_svd;
 use cualign_linalg::{orthogonal_procrustes, vecops, DenseMatrix};
@@ -127,6 +128,119 @@ fn eig_identities() {
         let sum: f64 = e.values.iter().sum();
         assert!((trace - sum).abs() < 1e-8);
     });
+}
+
+fn assert_eigen_bits_eq(fast: &SymmetricEigen, slow: &SymmetricEigen, what: &str) {
+    assert_eq!(fast.values.len(), slow.values.len());
+    for (j, (x, y)) in fast.values.iter().zip(&slow.values).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what} λ[{j}]: {x} vs {y}");
+    }
+    assert_bits_eq(&fast.vectors, &slow.vectors, what);
+}
+
+/// `Q · diag(λ) · Qᵀ` for a random orthonormal `Q`.
+fn planted(lambda: &[f64], seed: u64) -> DenseMatrix {
+    let n = lambda.len();
+    let q = orthonormalize(&gaussian(n, n, seed));
+    let mut qd = q.clone();
+    for i in 0..n {
+        for (j, &l) in lambda.iter().enumerate() {
+            qd[(i, j)] *= l;
+        }
+    }
+    qd.matmul(&q.transpose())
+}
+
+/// The Rayleigh–Ritz matrix `XᵀSX` of the spectral embedder: `X` is a
+/// `block`-column orthonormal basis after `iters` steps of block power
+/// iteration on `S = D^{-1/2}AD^{-1/2}`.
+fn rayleigh_ritz(g: &CsrGraph, block: usize, iters: usize, seed: u64) -> DenseMatrix {
+    let n = g.num_vertices();
+    let inv_sqrt: Vec<f64> = (0..n as u32)
+        .map(|u| match g.degree(u) {
+            0 => 0.0,
+            d => 1.0 / (d as f64).sqrt(),
+        })
+        .collect();
+    let apply = |x: &DenseMatrix| {
+        DenseMatrix::from_fn(n, block, |u, j| {
+            let sum: f64 = g
+                .neighbors(u as u32)
+                .iter()
+                .map(|&v| inv_sqrt[v as usize] * x[(v as usize, j)])
+                .sum();
+            inv_sqrt[u] * sum
+        })
+    };
+    let mut x = orthonormalize(&gaussian(n, block, seed));
+    for _ in 0..iters {
+        x = orthonormalize(&apply(&x));
+    }
+    x.transpose_matmul(&apply(&x))
+}
+
+/// The early-exit Jacobi eigensolver is bit-identical to the full-budget
+/// reference: random symmetric matrices of size 1–96, repeated
+/// eigenvalues, diagonal, zero and rank-1 matrices.
+#[test]
+fn eig_matches_reference_bitwise() {
+    cases(40, 8, |rng| {
+        let seed = rng.below(10_000) as u64;
+        let n = match rng.below(4) {
+            0 => rng.range(1..97),
+            _ => rng.range(1..25),
+        };
+        let m = match rng.below(5) {
+            0 | 1 => {
+                let g = gaussian(n, n, seed);
+                DenseMatrix::from_fn(n, n, |i, j| 0.5 * (g[(i, j)] + g[(j, i)]))
+            }
+            2 => {
+                // A few distinct values, each repeated.
+                let lambda: Vec<f64> = (0..n).map(|i| [3.0, -1.5, 0.25][i % 3]).collect();
+                planted(&lambda, seed)
+            }
+            3 => {
+                let u = gaussian(n, 1, seed);
+                u.matmul(&u.transpose())
+            }
+            _ => match rng.below(2) {
+                0 => DenseMatrix::zeros(n, n),
+                _ => {
+                    let d = gaussian(n, 1, seed);
+                    DenseMatrix::from_fn(n, n, |i, j| if i == j { d[(i, 0)] } else { 0.0 })
+                }
+            },
+        };
+        let fast = symmetric_eigen(&m);
+        let slow = symmetric_eigen_reference(&m);
+        assert_eigen_bits_eq(&fast, &slow, &format!("n = {n}"));
+        assert!(fast.sweeps <= slow.sweeps);
+    });
+}
+
+/// The same pin on the matrices the pipeline actually solves: the
+/// spectral embedder's Rayleigh–Ritz matrices on every generator family.
+/// There the norm test never ends the reference early, and the fast path
+/// must stop well short of the 60-sweep budget.
+#[test]
+fn eig_matches_reference_on_rayleigh_ritz_matrices() {
+    let mut rng = Rng::new(9);
+    let graphs = [
+        generators::barabasi_albert(240, 4, &mut rng),
+        generators::erdos_renyi_gnm(240, 960, &mut rng),
+        generators::watts_strogatz(240, 8, 0.1, &mut rng),
+        generators::duplication_divergence(240, 0.4, 0.3, &mut rng),
+        generators::powerlaw_configuration(240, 960, 2.5, &mut rng),
+    ];
+    for (k, g) in graphs.iter().enumerate() {
+        let t = rayleigh_ritz(g, 48, 20, k as u64);
+        let fast = symmetric_eigen(&t);
+        let slow = symmetric_eigen_reference(&t);
+        assert_eigen_bits_eq(&fast, &slow, &format!("family {k}"));
+        assert_eq!(slow.sweeps, 60, "family {k}: the norm test is never met");
+        assert!(fast.sweeps < 60, "family {k}: {} sweeps", fast.sweeps);
+    }
 }
 
 /// Procrustes returns an orthogonal matrix and exactly recovers a

@@ -37,6 +37,7 @@ pub const REQUIRED_KERNELS: &[&str] = &[
     "ann_candidates",
     "sinkhorn",
     "pairwise_cost",
+    "symmetric_eigen",
 ];
 
 fn diag(line: usize, message: String) -> Diagnostic {

@@ -176,6 +176,7 @@ mod tests {
 
     #[test]
     fn json_sink_appends_one_line_per_emit() {
+        let _flag = crate::flag_lock();
         let dir =
             std::env::temp_dir().join(format!("cualign-telemetry-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -203,6 +204,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_emits_nothing() {
+        let _flag = crate::flag_lock();
         let dir =
             std::env::temp_dir().join(format!("cualign-telemetry-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

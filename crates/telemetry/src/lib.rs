@@ -22,7 +22,8 @@
 //! the tree — per-path call counts, total time, and (at export) self time.
 //! Each thread owns its own stack, so spans opened on parallel helper
 //! threads never corrupt the tree; they simply record under the
-//! helper's own current path.
+//! helper's own current path, or under the caller's when the work
+//! enters a [`SpanContext`] captured on the caller.
 //!
 //! All instrument updates are single atomic operations; the span tree
 //! takes one short mutex lock per span *exit*. Recording is additionally
@@ -65,7 +66,7 @@ pub mod span;
 pub use cli::{TelemetryMode, TelemetrySink};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{global, Registry, Snapshot};
-pub use span::{SpanGuard, SpanSnapshot};
+pub use span::{EnteredContext, SpanContext, SpanGuard, SpanSnapshot};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -86,4 +87,14 @@ pub fn enabled() -> bool {
 /// and derived-quantity instrumentation). Off by default.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Serializes this crate's tests that set or depend on the process-global
+/// enabled flag: `cargo test` runs a binary's tests on parallel threads,
+/// and one test switching the flag off drops another's spans.
+#[cfg(test)]
+pub(crate) fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -157,6 +157,7 @@ mod tests {
 
     #[test]
     fn timed_measures_even_when_disabled() {
+        let _flag = crate::flag_lock();
         crate::set_enabled(false);
         let r = Registry::new();
         let ((), secs) = r.timed("work", || {

@@ -10,6 +10,12 @@
 //! concurrent spans on different threads can never corrupt each other's
 //! paths.
 //!
+//! Work handed to another thread can keep its caller's place in the
+//! tree: [`SpanContext::current`] captures the calling thread's open
+//! path, and [`SpanContext::enter`] installs it on whichever thread runs
+//! the work, restoring that thread's own stack when the returned guard
+//! drops. Spans opened in between nest under the caller's path.
+//!
 //! Guards are robust to out-of-order drops: each guard remembers the
 //! stack depth at which it was opened and truncates the stack back to
 //! that depth on drop, so a leaked or late-dropped inner guard cannot
@@ -17,6 +23,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -90,6 +97,51 @@ impl SpanSnapshot {
     }
 }
 
+/// The calling thread's open span path, captured to be entered on
+/// another thread (or the same one) so that spans opened there nest
+/// under the caller's spans instead of at the root.
+///
+/// Capturing and entering do not depend on whether telemetry is enabled;
+/// with telemetry off the path is simply empty.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SpanContext {
+    path: Vec<String>,
+}
+
+impl SpanContext {
+    /// Captures this thread's currently open span path.
+    pub fn current() -> Self {
+        SpanContext {
+            path: SPAN_STACK.with(|s| s.borrow().clone()),
+        }
+    }
+
+    /// Makes the captured path this thread's open span path until the
+    /// returned guard drops, which restores the thread's previous stack.
+    pub fn enter(&self) -> EnteredContext {
+        let saved = SPAN_STACK.with(|s| s.replace(self.path.clone()));
+        EnteredContext {
+            saved,
+            _not_send: PhantomData,
+        }
+    }
+}
+
+/// Guard returned by [`SpanContext::enter`]; restores the thread's own
+/// span stack on drop. It must drop on the thread that entered it.
+pub struct EnteredContext {
+    saved: Vec<String>,
+    /// The guard restores a thread-local stack: keep it on its thread.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for EnteredContext {
+    fn drop(&mut self) {
+        let saved = std::mem::take(&mut self.saved);
+        SPAN_STACK.with(|s| *s.borrow_mut() = saved);
+    }
+}
+
 /// RAII guard for an open span; records into `tree` on drop.
 ///
 /// Created by [`crate::Registry::span`]. When telemetry is disabled at
@@ -160,6 +212,7 @@ mod tests {
 
     #[test]
     fn spans_nest_into_a_tree() {
+        let _flag = crate::flag_lock();
         let r = Registry::new_enabled();
         {
             let _outer = r.span("align");
@@ -178,6 +231,8 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _flag = crate::flag_lock();
+        crate::set_enabled(false);
         let r = Registry::new();
         {
             let _g = r.span("ghost");
@@ -188,6 +243,7 @@ mod tests {
 
     #[test]
     fn out_of_order_drop_does_not_corrupt_later_paths() {
+        let _flag = crate::flag_lock();
         let r = Registry::new_enabled();
         {
             let outer = r.span("outer");
@@ -214,6 +270,7 @@ mod tests {
     #[test]
     fn threads_have_independent_stacks() {
         use std::sync::Arc;
+        let _flag = crate::flag_lock();
         let r: &'static Registry = Box::leak(Box::new(Registry::new_enabled()));
         let barrier = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
@@ -244,8 +301,53 @@ mod tests {
     }
 
     #[test]
+    fn entered_context_nests_helper_spans_under_the_caller() {
+        use crate::SpanContext;
+        use cualign_rt::par;
+        let _flag = crate::flag_lock();
+        let r: &'static Registry = Box::leak(Box::new(Registry::new_enabled()));
+        let items = vec![(); 64];
+        let ends = std::sync::Barrier::new(2);
+        {
+            let _outer = r.span("caller");
+            let ctx = SpanContext::current();
+            par::with_threads(4, || {
+                par::for_each(items, 1, |i, _| {
+                    // The first and last task meet at a barrier, so they
+                    // run on different threads: at least one on a helper.
+                    if i == 0 || i == 63 {
+                        ends.wait();
+                    }
+                    let own = SpanContext::current();
+                    {
+                        let _ctx = ctx.enter();
+                        let _task = r.span("task");
+                    }
+                    assert_eq!(SpanContext::current(), own, "stack restored");
+                    if i == 0 || i == 63 {
+                        // Past the guard, each thread's spans are its own
+                        // again: under "caller" on the calling thread, at
+                        // the root on a helper.
+                        let _after = r.span("after");
+                    }
+                });
+            });
+        }
+        let snap = r.snapshot();
+        let task = snap.spans.get(&["caller", "task"]).expect("nested task");
+        assert_eq!(task.calls, 64, "every task, wherever it ran");
+        assert!(snap.spans.get(&["task"]).is_none(), "no task at the root");
+        let calls = |path: &[&str]| snap.spans.get(path).map_or(0, |s| s.calls);
+        let on_helpers = calls(&["after"]);
+        assert!(on_helpers > 0, "no helper span recorded at the root");
+        assert_eq!(on_helpers + calls(&["caller", "after"]), 2);
+        assert_eq!(snap.spans.children.len(), 2, "only caller and after");
+    }
+
+    #[test]
     fn parallel_spans_do_not_corrupt_the_tree() {
         use cualign_rt::par;
+        let _flag = crate::flag_lock();
         let r: &'static Registry = Box::leak(Box::new(Registry::new_enabled()));
         let items = vec![(); 64];
         // The first and last task meet at a barrier: the caller blocks in

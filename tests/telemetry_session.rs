@@ -14,7 +14,7 @@ use cualign::{AlignerConfig, AlignmentSession, SparsityChoice, StageTimings};
 use cualign_embed::{EmbeddingMethod, SpectralConfig};
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::permutation::AlignmentInstance;
-use cualign_rt::Rng;
+use cualign_rt::{par, Rng};
 use cualign_telemetry::Registry;
 
 fn test_cfg() -> AlignerConfig {
@@ -173,4 +173,39 @@ fn stage_timings_are_a_view_of_the_span_tree() {
     let hits: u64 = stage_stats(reg).iter().map(|&(h, _)| h).sum();
     assert_eq!(t.cache_hits as u64, hits);
     assert_eq!(t.cache_hits, 2, "embed + subspace hit on the second run");
+}
+
+/// The embedding stage embeds A and B concurrently, but both
+/// `embed.spectral` spans still nest under `session.embed`, whichever
+/// thread ran them, and at every thread count. The embedder records into
+/// the global registry, so each run opens its own uniquely named outer
+/// span to keep other tests' sessions out of the counted path.
+#[test]
+fn both_embeddings_record_under_session_embed() {
+    let inst = instance(15, 100, 300);
+    for threads in [1, 2] {
+        let reg = fresh_registry();
+        let outer = format!("embed_spans_at_{threads}_threads");
+        par::with_threads(threads, || {
+            let _outer = reg.span(&outer);
+            let mut s = AlignmentSession::with_registry(&inst.a, &inst.b, test_cfg(), reg).unwrap();
+            s.embeddings().unwrap();
+        });
+        let session = reg.snapshot().spans;
+        assert_eq!(session.get(&[&outer, "session.embed"]).unwrap().calls, 1);
+        let global = cualign_telemetry::global().snapshot().spans;
+        let embed = global
+            .get(&[&outer, "session.embed"])
+            .expect("session.embed path");
+        assert_eq!(
+            embed.children.get("embed.spectral").map(|s| s.calls),
+            Some(2),
+            "{threads} threads: both embeddings under session.embed"
+        );
+        assert_eq!(global.get(&[&outer]).unwrap().children.len(), 1);
+        assert!(
+            global.get(&["embed.spectral"]).is_none(),
+            "{threads} threads: an embedding recorded at the root"
+        );
+    }
 }
