@@ -23,13 +23,22 @@
 //! (`sweep_s_<t>t`, `build_s_<t>t`) carry the bitwise check too. The
 //! headline `sweep_s`/`build_s` are the host-thread-count run;
 //! `host_cores` and `threads` record the host.
+//!
+//! The matcher column rounds the reference engine's own `yᶜ` and `zᶜ`
+//! after its timed sweeps — BP's real rounding inputs — once with each
+//! matcher. `round_s_<matcher>` is the time for both matchings,
+//! `evaluate_s` the time to score both against Eq. (1). All four
+//! matchings are asserted equal (`matchers_agree`).
 
 use std::io::Write;
 use std::time::Instant;
 
 use cualign_bench::json::JsonRecord;
-use cualign_bp::{BpConfig, BpEngine};
+use cualign_bp::{evaluate_matching, BpConfig, BpEngine};
 use cualign_graph::{BipartiteGraph, CsrGraph, Permutation, VertexId};
+use cualign_matching::{
+    greedy_matching, locally_dominant_parallel, locally_dominant_serial, suitor_matching, Matching,
+};
 use cualign_overlap::OverlapMatrix;
 use cualign_rt::{par, Rng};
 
@@ -85,6 +94,48 @@ fn state_hash(e: &BpEngine) -> u64 {
     h
 }
 
+type Matcher = fn(&BipartiteGraph) -> Matching;
+
+/// The matchers timed by the rounding column, by record-key suffix.
+const MATCHERS: [(&str, Matcher); 4] = [
+    ("serial", locally_dominant_serial),
+    ("parallel", locally_dominant_parallel),
+    ("greedy", greedy_matching),
+    ("suitor", suitor_matching),
+];
+
+/// Rounds the engine's `yᶜ` and `zᶜ` with every matcher, asserting that
+/// all four agree. Returns each matcher's seconds for the two matchings
+/// and the seconds to evaluate both.
+fn round_all(
+    e: &BpEngine,
+    l: &BipartiteGraph,
+    s: &OverlapMatrix,
+    cfg: &BpConfig,
+    n: usize,
+) -> (Vec<f64>, f64) {
+    let mut inputs = [l.clone(), l.clone()];
+    inputs[0].set_weights(e.yc());
+    inputs[1].set_weights(e.zc());
+    let mut round_s = Vec::new();
+    let mut agreed: Vec<Matching> = Vec::new();
+    for (name, matcher) in MATCHERS {
+        let t = Instant::now();
+        let ms: Vec<Matching> = inputs.iter().map(matcher).collect();
+        round_s.push(t.elapsed().as_secs_f64());
+        if agreed.is_empty() {
+            agreed = ms;
+        } else {
+            assert_eq!(ms, agreed, "{name} rounding diverged at n = {n}");
+        }
+    }
+    let t = Instant::now();
+    for m in &agreed {
+        std::hint::black_box(evaluate_matching(l.weights(), s, m, cfg.alpha, cfg.beta));
+    }
+    (round_s, t.elapsed().as_secs_f64())
+}
+
 fn main() {
     let ns = env_list("CUALIGN_BENCH_BP_NS", &[2000, 50_000, 500_000]);
     let sweeps = cualign_bench::env_u64("CUALIGN_BENCH_BP_SWEEPS", 3) as usize;
@@ -118,7 +169,7 @@ fn main() {
         // sweep touches only half of each pair and the second faults in
         // the rest. The timed sweeps then measure steady state for every
         // path; the hashes compare the same 2 + `sweeps` iterations.
-        let (ref_hash, sweep_reference_s) = {
+        let (ref_hash, sweep_reference_s, round_s, evaluate_s) = {
             let mut eng = BpEngine::new(&l, &s_ref, &cfg);
             eng.iterate_reference();
             eng.iterate_reference();
@@ -126,7 +177,9 @@ fn main() {
             for _ in 0..sweeps {
                 eng.iterate_reference();
             }
-            (state_hash(&eng), t.elapsed().as_secs_f64())
+            let sweep_reference_s = t.elapsed().as_secs_f64();
+            let (round_s, evaluate_s) = round_all(&eng, &l, &s_ref, &cfg, n);
+            (state_hash(&eng), sweep_reference_s, round_s, evaluate_s)
         };
 
         // The merge-balanced paths at each thread count: the build is
@@ -185,6 +238,15 @@ fn main() {
         for &(threads, build_s, sweep_s) in &timings {
             println!("    {threads} threads: sweeps {sweep_s:>8.3}s, build {build_s:>8.3}s");
         }
+        let rounding: Vec<String> = MATCHERS
+            .iter()
+            .zip(&round_s)
+            .map(|((name, _), t)| format!("{name} {t:.4}s"))
+            .collect();
+        println!(
+            "    rounding (yc + zc): {}; evaluate {evaluate_s:.4}s; matchers agree",
+            rounding.join(", ")
+        );
         let mut record = JsonRecord::new()
             .str("bench", "bp")
             .int("n", n)
@@ -204,7 +266,16 @@ fn main() {
                 .num(&format!("sweep_s_{threads}t"), sweep_s)
                 .num(&format!("build_s_{threads}t"), build_s);
         }
-        lines.push(record.str("bit_identical", "yes").finish());
+        for ((name, _), t) in MATCHERS.iter().zip(&round_s) {
+            record = record.num(&format!("round_s_{name}"), *t);
+        }
+        lines.push(
+            record
+                .num("evaluate_s", evaluate_s)
+                .str("matchers_agree", "yes")
+                .str("bit_identical", "yes")
+                .finish(),
+        );
     }
 
     let mut f = std::fs::File::create(&out_path).expect("record sink is writable");

@@ -63,12 +63,8 @@ pub fn evaluate_matching(
     alpha: f64,
     beta: f64,
 ) -> (f64, f64, usize) {
-    let mut in_matching = vec![false; s.num_rows()];
-    for &e in m.edge_ids() {
-        in_matching[e as usize] = true;
-    }
     let weight: f64 = m.edge_ids().iter().map(|&e| weights[e as usize]).sum();
-    let overlaps = s.count_matched_overlaps(&in_matching);
+    let overlaps = s.count_matched_overlaps(m.edge_ids());
     (alpha * weight + beta * overlaps as f64, weight, overlaps)
 }
 

@@ -18,12 +18,9 @@
 //! efficiently" — this implementation lets the test suite and benches
 //! make that comparison concrete.
 
-use crate::engine::MatcherKind;
 use crate::evaluate_matching;
 use cualign_graph::BipartiteGraph;
-use cualign_matching::{
-    greedy_matching, locally_dominant_parallel, locally_dominant_serial, suitor_matching, Matching,
-};
+use cualign_matching::{suitor_matching, Matching};
 use cualign_overlap::OverlapMatrix;
 
 /// Configuration for [`mr_align`].
@@ -35,8 +32,6 @@ pub struct MrConfig {
     pub beta: f64,
     /// Fixed-point iterations.
     pub max_iters: usize,
-    /// Matcher used for each linearized subproblem.
-    pub matcher: MatcherKind,
 }
 
 impl Default for MrConfig {
@@ -45,7 +40,6 @@ impl Default for MrConfig {
             alpha: 1.0,
             beta: 2.0,
             max_iters: 15,
-            matcher: MatcherKind::Parallel,
         }
     }
 }
@@ -65,15 +59,6 @@ pub struct MrOutcome {
     pub converged_at: Option<usize>,
 }
 
-fn run_matcher(l: &BipartiteGraph, kind: MatcherKind) -> Matching {
-    match kind {
-        MatcherKind::Serial => locally_dominant_serial(l),
-        MatcherKind::Parallel => locally_dominant_parallel(l),
-        MatcherKind::Greedy => greedy_matching(l),
-        MatcherKind::Suitor => suitor_matching(l),
-    }
-}
-
 /// Runs the MR fixed-point iteration on `l` and its overlap matrix.
 ///
 /// # Panics
@@ -85,7 +70,7 @@ pub fn mr_align(l: &BipartiteGraph, s: &OverlapMatrix, cfg: &MrConfig) -> MrOutc
     let mut work = l.clone();
 
     // Iteration 0: plain rounding of the similarity weights.
-    let mut current = run_matcher(&work, cfg.matcher);
+    let mut current = suitor_matching(&work);
     let (mut best_score, _, mut best_overlaps) =
         evaluate_matching(&w0, s, &current, cfg.alpha, cfg.beta);
     let mut best_matching = current.clone();
@@ -109,7 +94,7 @@ pub fn mr_align(l: &BipartiteGraph, s: &OverlapMatrix, cfg: &MrConfig) -> MrOutc
             })
             .collect();
         work.set_weights(&boosted);
-        let next = run_matcher(&work, cfg.matcher);
+        let next = suitor_matching(&work);
         let (score, _, overlaps) = evaluate_matching(&w0, s, &next, cfg.alpha, cfg.beta);
         history.push(score);
         if score > best_score {
@@ -139,6 +124,7 @@ mod tests {
     use crate::{BpConfig, BpEngine};
     use cualign_graph::generators::erdos_renyi_gnm;
     use cualign_graph::{CsrGraph, Permutation, VertexId};
+    use cualign_matching::locally_dominant_parallel;
     use cualign_rt::Rng;
 
     fn planted(

@@ -1,7 +1,7 @@
 //! Property-based tests for belief propagation: numeric safety, the
 //! F-bound, and outcome consistency on arbitrary random instances.
 
-use cualign_bp::{evaluate_matching, BpConfig, BpEngine};
+use cualign_bp::{evaluate_matching, BpConfig, BpEngine, MatcherKind};
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::{BipartiteGraph, CsrGraph};
 use cualign_overlap::OverlapMatrix;
@@ -118,5 +118,78 @@ fn objective_scale_invariance() {
         let o1 = BpEngine::new(&l, &s, &base).run();
         let o2 = BpEngine::new(&l, &s, &scaled).run();
         assert_eq!(o1.best_matching, o2.best_matching);
+    });
+}
+
+/// The rounding matcher never changes a bit of the run: under all four
+/// matchers BP returns the same best matching, the same best-score bits
+/// and the same per-iteration history.
+#[test]
+fn matcher_choice_is_bit_identical() {
+    cases(CASES, 7, |rng| {
+        let (a, b, l) = instance(rng);
+        let s = OverlapMatrix::build(&a, &b, &l);
+        let run = |matcher| {
+            let cfg = BpConfig {
+                max_iters: 8,
+                matcher,
+                ..Default::default()
+            };
+            BpEngine::new(&l, &s, &cfg).run()
+        };
+        let base = run(MatcherKind::Suitor);
+        let bits = |o: &cualign_bp::BpOutcome| -> Vec<(u64, u64, usize)> {
+            o.history
+                .iter()
+                .map(|r| (r.score.to_bits(), r.weight.to_bits(), r.overlaps))
+                .collect()
+        };
+        for kind in [
+            MatcherKind::Serial,
+            MatcherKind::Parallel,
+            MatcherKind::Greedy,
+        ] {
+            let other = run(kind);
+            assert_eq!(other.best_matching, base.best_matching, "{kind:?}");
+            assert_eq!(
+                other.best_score.to_bits(),
+                base.best_score.to_bits(),
+                "{kind:?}"
+            );
+            assert_eq!(other.best_iteration, base.best_iteration, "{kind:?}");
+            assert_eq!(bits(&other), bits(&base), "{kind:?}");
+        }
+    });
+}
+
+/// `evaluate_matching` counts conserved edges over the matched rows only;
+/// the count equals a brute-force pass over every row of `S` under a
+/// full membership mask, and the weight sum keeps its order.
+#[test]
+fn evaluate_matching_equals_full_mask_count() {
+    cases(CASES, 8, |rng| {
+        let (a, b, l) = instance(rng);
+        let s = OverlapMatrix::build(&a, &b, &l);
+        let m = cualign_matching::locally_dominant_reference(&l);
+        let mut mask = vec![false; s.num_rows()];
+        for &e in m.edge_ids() {
+            mask[e as usize] = true;
+        }
+        let mut pairs = 0;
+        for e in 0..s.num_rows() {
+            for &e2 in s.row(e as u32) {
+                pairs += usize::from(mask[e] && mask[e2 as usize]);
+            }
+        }
+        let alpha = rng.range_f64(0.1, 3.0);
+        let beta = rng.range_f64(0.1, 3.0);
+        let weight: f64 = m.edge_ids().iter().map(|&e| l.weights()[e as usize]).sum();
+        let (score, w, overlaps) = evaluate_matching(l.weights(), &s, &m, alpha, beta);
+        assert_eq!(overlaps, pairs / 2);
+        assert_eq!(w.to_bits(), weight.to_bits());
+        assert_eq!(
+            score.to_bits(),
+            (alpha * weight + beta * (pairs / 2) as f64).to_bits()
+        );
     });
 }

@@ -19,7 +19,7 @@
 
 use crate::scoring::{score_alignment, AlignmentScores};
 use cualign_graph::{BipartiteGraph, CsrGraph, VertexId};
-use cualign_matching::{locally_dominant_parallel, Matching};
+use cualign_matching::{suitor_matching, Matching};
 use cualign_rt::par;
 
 /// Configuration for [`isorank_align`].
@@ -178,7 +178,7 @@ pub fn isorank_align_with_prior(
     });
     triples.extend(b_side);
     let l = BipartiteGraph::from_weighted_edges(na, nb, &triples);
-    let matching = locally_dominant_parallel(&l);
+    let matching = suitor_matching(&l);
     let mapping: Vec<Option<VertexId>> =
         (0..na).map(|u| matching.mate_of_a(u as VertexId)).collect();
     let scores = score_alignment(a, b, &mapping);

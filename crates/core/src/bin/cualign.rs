@@ -250,6 +250,26 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
+    let (g, note) = generate(flags)?;
+    let path = require(flags, "output")?;
+    io::save_edge_list(&g, path).map_err(|e| format!("writing {path}: {e}"))?;
+    eprintln!(
+        "wrote {} ({} vertices, {} edges)",
+        path,
+        g.num_vertices(),
+        g.num_edges()
+    );
+    if let Some(note) = note {
+        eprintln!("{note}");
+    }
+    Ok(())
+}
+
+/// Builds the graph `generate` writes, with a `note:` line when the
+/// written edge count differs from an explicit `--edges`. The BA and WS
+/// models round their per-vertex degree `k` down from `--edges`; `k`
+/// stays as is so that earlier generated inputs remain reproducible.
+fn generate(flags: &HashMap<String, String>) -> Result<(CsrGraph, Option<String>), String> {
     use cualign_graph::generators::*;
     let model = require(flags, "model")?;
     let n: usize = require(flags, "vertices")?
@@ -282,6 +302,8 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
             format!("--edges {m} exceeds the {max_m} vertex pairs of {n} vertices"),
         )
     };
+    // The per-vertex degree the model derives from `--edges`, if any.
+    let mut k_used = None;
     let g = match model {
         "er" => {
             fits()?;
@@ -294,6 +316,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
                 n > k,
                 format!("attaches {k} edges per vertex, so needs more than {k} vertices"),
             )?;
+            k_used = Some(format!("attaches k = {k} edges per vertex"));
             barabasi_albert(n, k, &mut rng)
         }
         "ws" => {
@@ -303,6 +326,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
                 n > k,
                 format!("has lattice degree {k}, so needs more than {k} vertices"),
             )?;
+            k_used = Some(format!("has lattice degree k = {k}"));
             watts_strogatz(n, k, 0.1, &mut rng)
         }
         "dd" => {
@@ -316,20 +340,19 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         other => return Err(format!("unknown --model '{other}'")),
     };
-    let path = require(flags, "output")?;
-    io::save_edge_list(&g, path).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!(
-        "wrote {} ({} vertices, {} edges)",
-        path,
-        g.num_vertices(),
-        g.num_edges()
-    );
-    Ok(())
+    let note = (flags.contains_key("edges") && g.num_edges() != m).then(|| {
+        let why = k_used.map_or(String::new(), |k| format!(" (--model {model} {k})"));
+        format!(
+            "note: --edges {m} requested, {} edges written{why}",
+            g.num_edges()
+        )
+    });
+    Ok((g, note))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{cmd_generate, config_from_flags, parse_flags};
+    use super::{cmd_generate, config_from_flags, generate, parse_flags};
     use cualign::SparsityChoice;
 
     fn v(items: &[&str]) -> Vec<String> {
@@ -363,6 +386,35 @@ mod tests {
             !std::path::Path::new(out).exists(),
             "an invalid size wrote a graph"
         );
+    }
+
+    #[test]
+    fn generate_notes_an_edge_shortfall() {
+        let run = |model: &str, edges: Option<&str>| {
+            let mut args = v(&["--model", model, "--vertices", "400"]);
+            if let Some(m) = edges {
+                args.extend(v(&["--edges", m]));
+            }
+            let (g, note) = generate(&parse_flags(&args).unwrap()).unwrap();
+            (g.num_edges(), note)
+        };
+        // BA attaches ⌊1590 / 400⌋ = 3 edges per vertex.
+        let (m, note) = run("ba", Some("1590"));
+        assert_eq!(m, 1194);
+        assert_eq!(
+            note.as_deref(),
+            Some("note: --edges 1590 requested, 1194 edges written (--model ba attaches k = 3 edges per vertex)")
+        );
+        let (m, note) = run("ws", Some("1590"));
+        assert_eq!(m, 1200);
+        let note = note.expect("WS rounds its lattice degree");
+        assert!(
+            note.contains("lattice degree k = 6") && note.contains("1200 edges"),
+            "{note}"
+        );
+        // Exact edge counts, and the implicit default, say nothing.
+        assert_eq!(run("er", Some("1590")), (1590, None));
+        assert_eq!(run("ba", None).1, None);
     }
 
     #[test]

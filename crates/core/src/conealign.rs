@@ -16,7 +16,7 @@ use crate::error::AlignError;
 use crate::scoring::{score_alignment, AlignmentScores};
 use crate::session::AlignmentSession;
 use cualign_graph::{CsrGraph, VertexId};
-use cualign_matching::{locally_dominant_parallel, Matching};
+use cualign_matching::{suitor_matching, Matching};
 use std::borrow::Borrow;
 use std::time::Instant;
 
@@ -56,7 +56,7 @@ pub fn cone_align_session<G: Borrow<CsrGraph>>(
     let t = Instant::now();
     let matching = {
         let l = session.sparse_l()?;
-        locally_dominant_parallel(l)
+        suitor_matching(l)
     };
     let (a, b) = session.graphs();
     let mapping: Vec<Option<VertexId>> = (0..a.num_vertices())

@@ -4,7 +4,7 @@
 
 use crate::error::AlignError;
 use crate::multilevel::MultilevelConfig;
-use cualign_bp::{BpConfig, MatcherKind};
+use cualign_bp::BpConfig;
 use cualign_embed::{EmbeddingMethod, SubspaceAlignConfig};
 use cualign_graph::{wl, BipartiteGraph, CsrGraph};
 use cualign_linalg::DenseMatrix;
@@ -466,12 +466,6 @@ impl AlignerConfigBuilder {
     pub fn objective(mut self, alpha: f64, beta: f64) -> Self {
         self.cfg.bp.alpha = alpha;
         self.cfg.bp.beta = beta;
-        self
-    }
-
-    /// Sets the rounding matcher used inside the BP loop.
-    pub fn matcher(mut self, matcher: MatcherKind) -> Self {
-        self.cfg.bp.matcher = matcher;
         self
     }
 

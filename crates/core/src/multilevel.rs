@@ -76,7 +76,7 @@ use cualign_bp::BpEngine;
 use cualign_graph::coarsen::{CoarseLevel, CoarsenConfig, CoarseningHierarchy};
 use cualign_graph::{BipartiteGraph, CsrGraph, VertexId};
 use cualign_linalg::{vecops, DenseMatrix};
-use cualign_matching::{locally_dominant_parallel, Matching};
+use cualign_matching::{suitor_matching, Matching};
 use cualign_overlap::OverlapMatrix;
 use cualign_rt::par;
 use cualign_sparsify::{ann_candidates, knn_candidates, AnnConfig, KnnDirection};
@@ -469,7 +469,7 @@ fn repair(l: &BipartiteGraph, bp_matching: &Matching) -> (Matching, usize) {
             }
         }
     }
-    let extra = locally_dominant_parallel(&residual);
+    let extra = suitor_matching(&residual);
     let mut ids = bp_matching.edge_ids().to_vec();
     ids.extend_from_slice(extra.edge_ids());
     (Matching::from_edge_ids(l, ids), extra.len())

@@ -38,6 +38,7 @@ pub const REQUIRED_KERNELS: &[&str] = &[
     "sinkhorn",
     "pairwise_cost",
     "symmetric_eigen",
+    "suitor_matching",
 ];
 
 fn diag(line: usize, message: String) -> Diagnostic {

@@ -10,11 +10,15 @@
 //! expose new locally dominant edges, which a worklist propagates. The
 //! result is ½-approximate in theory and near-optimal in practice.
 //!
+//! * [`suitor::suitor_matching`] — the production matcher: one-sided
+//!   Suitor (Gale–Shapley deferred acceptance, A side proposing), which
+//!   computes the same matching with one scan of a contiguous row per
+//!   proposal,
 //! * [`locally_dominant::locally_dominant_serial`] — sequential reference,
+//!   the pinned oracle (also exported as [`locally_dominant_reference`]),
 //! * [`parallel::locally_dominant_parallel`] — the two-queue (`Q_C`/`Q_N`)
-//!   parallel version of §4.3, built on the `cualign_rt::par` executor,
-//! * [`suitor::suitor_matching`] — the Suitor (deferred-acceptance)
-//!   formulation of the same matching,
+//!   parallel version of §4.3, built on the `cualign_rt::par` executor;
+//!   the GPU model charges its rounds,
 //! * [`greedy::greedy_matching`] — globally-sorted greedy (also ½-approx),
 //!   a simpler baseline,
 //! * [`hungarian::hungarian_matching`] — exact `O(n³)` oracle used by tests
@@ -29,9 +33,9 @@
 //! **Place in the pipeline** (paper Fig. 2): the rounding half of stage
 //! 4 — each BP iteration's messages are rounded to a matching here, and
 //! the best one wins. The multilevel wrapper adds a second call site:
-//! its per-level *repair pass* re-runs [`locally_dominant_parallel`] on
-//! the residual band (edges of still-unmatched vertices) to complete
-//! BP's rounding.
+//! its per-level *repair pass* re-runs [`suitor_matching`] on the
+//! residual band (edges of still-unmatched vertices) to complete BP's
+//! rounding.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,11 +50,14 @@ pub mod suitor;
 pub use greedy::greedy_matching;
 pub use hungarian::hungarian_matching;
 pub use locally_dominant::locally_dominant_serial;
+pub use locally_dominant::locally_dominant_serial as locally_dominant_reference;
 pub use matching::Matching;
 pub use parallel::locally_dominant_parallel;
 pub use suitor::suitor_matching;
 
 use cualign_graph::{BipartiteGraph, EdgeId};
+use cualign_telemetry::Counter;
+use std::sync::{Arc, OnceLock};
 
 /// `true` iff edge `e1` is preferred over `e2` for matching: heavier wins,
 /// ties break toward the smaller edge id. Strictly total for distinct ids.
@@ -59,4 +66,34 @@ pub fn prefer(l: &BipartiteGraph, e1: EdgeId, e2: EdgeId) -> bool {
     let w1 = l.weights()[e1 as usize];
     let w2 = l.weights()[e2 as usize];
     w1 > w2 || (w1 == w2 && e1 < e2)
+}
+
+/// Interned telemetry counters shared by the matchers.
+pub(crate) struct MatchTele {
+    /// `matching.runs`: calls of the production and parallel matchers.
+    pub(crate) runs: Arc<Counter>,
+    /// `matching.proposals`: proposals made by [`suitor_matching`] — the
+    /// rounding work of the production path.
+    pub(crate) proposals: Arc<Counter>,
+    /// `matching.rounds`: queue rounds of [`locally_dominant_parallel`],
+    /// the quantity the GPU model charges per launch. The production
+    /// rounding path runs [`suitor_matching`], so on the default BP and
+    /// multilevel paths this counter reads 0.
+    pub(crate) rounds: Arc<Counter>,
+    /// `matching.recomputations`: candidate recomputations of
+    /// [`locally_dominant_parallel`] (0 on the default path, as above).
+    pub(crate) recomputations: Arc<Counter>,
+}
+
+pub(crate) fn match_tele() -> &'static MatchTele {
+    static TELE: OnceLock<MatchTele> = OnceLock::new();
+    TELE.get_or_init(|| {
+        let r = cualign_telemetry::global();
+        MatchTele {
+            runs: r.counter("matching.runs"),
+            proposals: r.counter("matching.proposals"),
+            rounds: r.counter("matching.rounds"),
+            recomputations: r.counter("matching.recomputations"),
+        }
+    })
 }

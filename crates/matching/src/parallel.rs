@@ -21,7 +21,7 @@
 //! suite).
 
 use crate::matching::Matching;
-use crate::prefer;
+use crate::{match_tele, prefer};
 use cualign_graph::{BipartiteGraph, EdgeId, VertexId};
 use cualign_rt::par;
 
@@ -214,27 +214,6 @@ pub fn locally_dominant_parallel_with_stats(l: &BipartiteGraph) -> (Matching, Ma
     tele.rounds.add(stats.rounds as u64);
     tele.recomputations.add(stats.recomputations as u64);
     (Matching::from_edge_ids(l, chosen), stats)
-}
-
-/// Interned telemetry counters for the parallel matcher: round counts are
-/// the quantity the GPU model charges per-launch, so surfacing them in
-/// every run keeps the model's inputs observable.
-struct MatchTele {
-    runs: std::sync::Arc<cualign_telemetry::Counter>,
-    rounds: std::sync::Arc<cualign_telemetry::Counter>,
-    recomputations: std::sync::Arc<cualign_telemetry::Counter>,
-}
-
-fn match_tele() -> &'static MatchTele {
-    static TELE: std::sync::OnceLock<MatchTele> = std::sync::OnceLock::new();
-    TELE.get_or_init(|| {
-        let r = cualign_telemetry::global();
-        MatchTele {
-            runs: r.counter("matching.runs"),
-            rounds: r.counter("matching.rounds"),
-            recomputations: r.counter("matching.recomputations"),
-        }
-    })
 }
 
 #[cfg(test)]

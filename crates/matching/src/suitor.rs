@@ -1,104 +1,74 @@
-//! The Suitor algorithm (Manne & Halappanavar) for half-approximate
-//! weighted matching.
+//! One-sided Suitor matching: Gale–Shapley deferred acceptance on the
+//! bipartite graph `L`, after Manne & Halappanavar's Suitor algorithm.
 //!
-//! Where the pointer-based locally dominant algorithm has every vertex
-//! *propose to* its heaviest eligible neighbor and waits for mutual
-//! proposals, Suitor inverts the bookkeeping: each vertex tracks its best
-//! *incoming* proposal (its current suitor), and a proposing vertex may
-//! displace a weaker suitor, sending the displaced vertex back to
-//! propose elsewhere — a deferred-acceptance scheme à la Gale–Shapley.
+//! Only A-side vertices propose. Each proposes along its best
+//! *acceptable* incident edge: a strictly positive weight (which also
+//! excludes NaN) that beats the B endpoint's current suitor under the
+//! crate preference order [`prefer`](crate::prefer). A B vertex keeps
+//! only its best proposal; the A vertex it displaces proposes again.
+//! The matching is the set of held proposals.
 //!
-//! Under a strict total preference order Suitor computes **exactly the
-//! locally dominant matching**, so it is both a production-grade
-//! alternative (often faster in practice: no candidate recomputation
-//! scans) and a differential-testing partner for the other matchers.
+//! Preferences derived from one strict total edge order make the stable
+//! matching unique, and it is the greedy matching — which is also the
+//! locally dominant one. So this computes **exactly** the matching of
+//! [`crate::locally_dominant_serial`] (the pinned oracle), while each
+//! step scans one contiguous A-side CSR row instead of recomputing
+//! candidates on both sides: B-side hubs never rescan their edges.
+//! It is the production rounding matcher of the BP loop and of the
+//! multilevel repair pass.
 
+use crate::match_tele;
 use crate::matching::Matching;
-use crate::prefer;
 use cualign_graph::{BipartiteGraph, EdgeId, VertexId};
 
 const EDGE_NONE: EdgeId = EdgeId::MAX;
 
-/// Computes the locally dominant matching of `l` with the Suitor
-/// algorithm. Only strictly positive edge weights are eligible.
+/// Computes the locally dominant matching of `l` by one-sided Suitor.
+/// Only strictly positive edge weights are eligible.
 pub fn suitor_matching(l: &BipartiteGraph) -> Matching {
-    let na = l.na();
-    let nv = na + l.nb();
-    // suitor[gv] = edge id of the best proposal vertex gv currently holds.
-    let mut suitor: Vec<EdgeId> = vec![EDGE_NONE; nv];
-    // Work stack of vertices that still need to propose.
-    let mut work: Vec<usize> = (0..nv).collect();
-
-    // The edge's opposite endpoint as a global vertex.
-    let other_gv = |e: EdgeId, gv: usize| -> usize {
-        let le = l.edge(e);
-        let ga = le.a as usize;
-        let gb = na + le.b as usize;
-        if gv == ga {
-            gb
-        } else {
-            ga
-        }
-    };
-
-    while let Some(u) = work.pop() {
-        // u proposes along its best edge whose opposite endpoint would
-        // accept (i.e. u's edge beats the endpoint's current suitor).
-        let mut best: EdgeId = EDGE_NONE;
-        if u < na {
-            for (_, e) in l.incident_a(u as VertexId) {
-                // NaN-weighted edges are excluded along with non-positive ones.
-                let w = l.weights()[e as usize];
-                if w <= 0.0 || w.is_nan() {
-                    continue;
-                }
-                let v = other_gv(e, u);
-                let current = suitor[v];
-                let acceptable = current == EDGE_NONE || prefer(l, e, current);
-                if acceptable && (best == EDGE_NONE || prefer(l, e, best)) {
-                    best = e;
+    let w = l.weights();
+    // held[b] = id of the proposal b currently holds, held_w[b] its
+    // weight (0 while b holds none, so a positive proposal always wins).
+    let mut held: Vec<EdgeId> = vec![EDGE_NONE; l.nb()];
+    let mut held_w: Vec<f64> = vec![0.0; l.nb()];
+    let mut proposals: u64 = 0;
+    for first in 0..l.na() {
+        let mut a = first;
+        loop {
+            // Edge ids ascend within an A-side row (`BipartiteGraph`
+            // numbers its edges in (a, b) order), so among equal weights
+            // the first edge seen is the preferred one and a strict `>`
+            // keeps it. Starting `best_w` at 0 makes the same
+            // test reject non-positive and NaN weights.
+            let (mut best, mut best_b, mut best_w) = (EDGE_NONE, 0, 0.0);
+            let a_id = a as VertexId;
+            for (&e, &b) in l.row_a(a_id).iter().zip(l.targets_a(a_id)) {
+                let we = w[e as usize];
+                if we > best_w {
+                    let (hw, b) = (held_w[b as usize], b as usize);
+                    if we > hw || (we == hw && e < held[b]) {
+                        (best, best_b, best_w) = (e, b, we);
+                    }
                 }
             }
-        } else {
-            for (_, e) in l.incident_b((u - na) as VertexId) {
-                // NaN-weighted edges are excluded along with non-positive ones.
-                let w = l.weights()[e as usize];
-                if w <= 0.0 || w.is_nan() {
-                    continue;
-                }
-                let v = other_gv(e, u);
-                let current = suitor[v];
-                let acceptable = current == EDGE_NONE || prefer(l, e, current);
-                if acceptable && (best == EDGE_NONE || prefer(l, e, best)) {
-                    best = e;
-                }
+            if best == EDGE_NONE {
+                break; // a stays unmatched
             }
-        }
-        if best == EDGE_NONE {
-            continue; // u stays unmatched (for now)
-        }
-        let v = other_gv(best, u);
-        let displaced = suitor[v];
-        suitor[v] = best;
-        if displaced != EDGE_NONE {
-            // The previous suitor of v must go propose elsewhere.
-            work.push(other_gv(displaced, v));
-        }
-    }
-
-    // An edge is matched iff it is a mutual suitor pair. Report from the
-    // A side to count each edge once.
-    let mut chosen = Vec::new();
-    for a in 0..na {
-        let e = suitor[a];
-        if e == EDGE_NONE {
-            continue;
-        }
-        let b_gv = na + l.edge(e).b as usize;
-        if suitor[b_gv] == e {
-            chosen.push(e);
+            proposals += 1;
+            held_w[best_b] = best_w;
+            let displaced = std::mem::replace(&mut held[best_b], best);
+            if displaced == EDGE_NONE {
+                break;
+            }
+            // An edge only ever loses acceptability, so the displaced
+            // vertex rescans its row for its next-best option.
+            a = l.edge(displaced).a as usize;
         }
     }
+    let tele = match_tele();
+    tele.runs.inc();
+    tele.proposals.add(proposals);
+    let chosen = held.into_iter().filter(|&e| e != EDGE_NONE).collect();
     Matching::from_edge_ids(l, chosen)
 }
 
@@ -166,8 +136,29 @@ mod tests {
     }
 
     #[test]
+    fn equal_weight_displacement_follows_edge_ids() {
+        // Edge ids: 0 = (A0,B0), 1 = (A0,B1), 2 = (A1,B1), 3 = (A2,B0).
+        // A2 displaces A0 from B0; A0 then ties A1's hold on B1 and wins
+        // it on edge id (1 < 2), leaving A1 unmatched.
+        let l = BipartiteGraph::from_weighted_edges(
+            3,
+            2,
+            &[(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (2, 0, 2.0)],
+        );
+        let m = suitor_matching(&l);
+        assert_eq!(m.mate_of_b(0), Some(2));
+        assert_eq!(m.mate_of_b(1), Some(0));
+        assert_eq!(m.mate_of_a(1), None);
+        assert_eq!(m, locally_dominant_serial(&l));
+    }
+
+    #[test]
     fn skips_nonpositive_and_empty() {
-        let l = BipartiteGraph::from_weighted_edges(2, 2, &[(0, 0, -1.0), (1, 1, 0.0)]);
+        let l = BipartiteGraph::from_weighted_edges(
+            3,
+            3,
+            &[(0, 0, -1.0), (1, 1, 0.0), (2, 2, f64::NAN)],
+        );
         assert!(suitor_matching(&l).is_empty());
         let empty = BipartiteGraph::from_weighted_edges(3, 3, &[]);
         assert!(suitor_matching(&empty).is_empty());

@@ -4,8 +4,8 @@
 
 use cualign_graph::BipartiteGraph;
 use cualign_matching::{
-    greedy_matching, hungarian_matching, locally_dominant_parallel, locally_dominant_serial,
-    suitor_matching,
+    greedy_matching, hungarian_matching, locally_dominant_parallel, locally_dominant_reference,
+    locally_dominant_serial, suitor_matching,
 };
 use cualign_rt::check::cases;
 use cualign_rt::Rng;
@@ -59,6 +59,57 @@ fn heuristics_coincide() {
         assert_eq!(&serial, &locally_dominant_parallel(&l));
         assert_eq!(&serial, &greedy_matching(&l));
         assert_eq!(&serial, &suitor_matching(&l));
+    });
+}
+
+/// A weight from one of the regimes the rounding step can meet: all
+/// equal (ties decided by edge id alone), a coarse grid with zeros and
+/// negatives (many ties, some ineligible), NaN among positives, or
+/// distinct reals.
+fn regime_weight(regime: usize, rng: &mut Rng) -> f64 {
+    match regime {
+        0 => 1.0,
+        1 => rng.below(5) as f64 - 1.0,
+        2 if rng.bool(0.2) => f64::NAN,
+        _ => rng.range_f64(-0.5, 4.0),
+    }
+}
+
+/// `L` with possibly unequal or empty sides, weights from one regime,
+/// and with probability ½ a B-side hub adjacent to every A vertex.
+fn rounding_input(rng: &mut Rng) -> BipartiteGraph {
+    let (na, nb) = (rng.range(0..14), rng.range(0..14));
+    let regime = rng.below(4);
+    let mut triples: Vec<(u32, u32, f64)> = Vec::new();
+    if na > 0 && nb > 0 {
+        for _ in 0..rng.below(80) {
+            let (a, b) = (rng.below(na) as u32, rng.below(nb) as u32);
+            triples.push((a, b, regime_weight(regime, rng)));
+        }
+        if rng.bool(0.5) {
+            let hub = rng.below(nb) as u32;
+            for a in 0..na as u32 {
+                triples.push((a, hub, regime_weight(regime, rng)));
+            }
+        }
+    }
+    BipartiteGraph::from_weighted_edges(na, nb, &triples)
+}
+
+/// The production matcher is pinned to the oracle: one-sided Suitor,
+/// the serial locally dominant reference, greedy and the parallel
+/// two-queue matcher return the same matching on ties, zero, negative
+/// and NaN weights, unequal and empty sides, and B-side hubs.
+#[test]
+fn suitor_matches_locally_dominant_reference() {
+    cases(CASES, 7, |rng| {
+        let l = rounding_input(rng);
+        let reference = locally_dominant_reference(&l);
+        let suitor = suitor_matching(&l);
+        assert_eq!(suitor, reference, "suitor vs reference");
+        assert_eq!(suitor, greedy_matching(&l), "suitor vs greedy");
+        assert_eq!(suitor, locally_dominant_parallel(&l), "suitor vs parallel");
+        assert!(suitor.is_maximal(&l));
     });
 }
 

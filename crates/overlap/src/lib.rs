@@ -360,23 +360,29 @@ impl OverlapMatrix {
         self.row(e).binary_search(&e2).is_ok()
     }
 
-    /// Counts conserved (overlapped) edges under a matching, given a
-    /// membership mask over `L`'s edge ids. Each overlapping pair counts
-    /// once (the CSR stores both directions, hence the halving) — this is
-    /// the `xᵀSx / 2` term of Eq. (1).
-    pub fn count_matched_overlaps(&self, in_matching: &[bool]) -> usize {
-        assert_eq!(in_matching.len(), self.num_rows(), "mask length mismatch");
-        let per_row = par::flat_map(self.num_rows(), MIN_ROWS, |e, out| {
-            if in_matching[e] {
-                out.push(
-                    self.row(e as EdgeId)
-                        .iter()
-                        .filter(|&&e2| in_matching[e2 as usize])
-                        .count(),
-                );
-            }
-        });
-        per_row.iter().sum::<usize>() / 2
+    /// Counts conserved (overlapped) edges under a matching, given its
+    /// edge ids in strictly increasing order (as `Matching::edge_ids`
+    /// returns them; a repeated id would be counted twice). Only the
+    /// matched rows are scanned — at most `min(na, nb)` of them — against
+    /// a one-bit-per-edge membership set, so the random lookups stay in
+    /// cache. Each overlapping pair counts once (the CSR stores both
+    /// directions, hence the halving): this is the `xᵀSx / 2` term of
+    /// Eq. (1).
+    pub fn count_matched_overlaps(&self, matched: &[EdgeId]) -> usize {
+        debug_assert!(
+            matched.windows(2).all(|w| w[0] < w[1]),
+            "matched edge ids must be strictly increasing"
+        );
+        let mut in_matching = vec![0u64; self.num_rows().div_ceil(64)];
+        for &e in matched {
+            in_matching[e as usize / 64] |= 1 << (e % 64);
+        }
+        let is_matched = |e2: EdgeId| in_matching[e2 as usize / 64] >> (e2 % 64) & 1 == 1;
+        let pairs: usize = matched
+            .iter()
+            .map(|&e| self.row(e).iter().filter(|&&e2| is_matched(e2)).count())
+            .sum();
+        pairs / 2
     }
 
     /// Validates structural symmetry and that `transpose_perm` is a
@@ -478,8 +484,8 @@ mod tests {
         let triples: Vec<(VertexId, VertexId, f64)> = (0..20).map(|i| (i, i, 1.0)).collect();
         let l = BipartiteGraph::from_weighted_edges(20, 20, &triples);
         let s = OverlapMatrix::build(&a, &b, &l);
-        let mask = vec![true; l.num_edges()];
-        assert_eq!(s.count_matched_overlaps(&mask), a.num_edges());
+        let all: Vec<EdgeId> = (0..l.num_edges() as EdgeId).collect();
+        assert_eq!(s.count_matched_overlaps(&all), a.num_edges());
     }
 
     #[test]
@@ -494,8 +500,8 @@ mod tests {
             (0..25).map(|i| (i, p.apply(i), 1.0)).collect();
         let l = BipartiteGraph::from_weighted_edges(25, 25, &triples);
         let s = OverlapMatrix::build(&a, &b, &l);
-        let mask = vec![true; l.num_edges()];
-        assert_eq!(s.count_matched_overlaps(&mask), a.num_edges());
+        let all: Vec<EdgeId> = (0..l.num_edges() as EdgeId).collect();
+        assert_eq!(s.count_matched_overlaps(&all), a.num_edges());
     }
 
     #[test]
@@ -523,7 +529,6 @@ mod tests {
     fn empty_mask_counts_zero() {
         let (a, b, l) = small_instance();
         let s = OverlapMatrix::build(&a, &b, &l);
-        let mask = vec![false; l.num_edges()];
-        assert_eq!(s.count_matched_overlaps(&mask), 0);
+        assert_eq!(s.count_matched_overlaps(&[]), 0);
     }
 }

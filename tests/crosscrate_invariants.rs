@@ -10,6 +10,7 @@ use cualign_graph::permutation::AlignmentInstance;
 use cualign_graph::{BipartiteGraph, CsrGraph, VertexId};
 use cualign_matching::{
     greedy_matching, hungarian_matching, locally_dominant_parallel, locally_dominant_serial,
+    suitor_matching,
 };
 use cualign_overlap::OverlapMatrix;
 use cualign_rt::Rng;
@@ -48,7 +49,7 @@ fn pipeline_structures_validate() {
 }
 
 /// On pipeline-produced weights (real similarity distributions, many
-/// near-ties), the three heuristic matchers agree exactly and the oracle
+/// near-ties), the four heuristic matchers agree exactly and the oracle
 /// confirms the ½-approximation.
 #[test]
 fn matchers_agree_on_pipeline_weights() {
@@ -58,6 +59,7 @@ fn matchers_agree_on_pipeline_weights() {
     let greedy = greedy_matching(&l);
     assert_eq!(serial, parallel);
     assert_eq!(serial, greedy);
+    assert_eq!(serial, suitor_matching(&l));
     serial.check_valid(&l).expect("valid matching");
     assert!(serial.is_maximal(&l));
     let opt = hungarian_matching(&l);
