@@ -14,8 +14,10 @@
 //! record carries both wall-clocks, node correctness and NCV-GS³ for
 //! both runs, the realized coarsening depth, and the per-level
 //! `multilevel.level<k>.*` counters (band size, BP matches, repairs)
-//! harvested from the global registry. `--telemetry summary|json:PATH`
-//! additionally emits the full span-tree snapshot.
+//! harvested from the global registry. `host_cores` and `threads`
+//! record the host: both pipelines run on every available thread.
+//! `--telemetry summary|json:PATH` additionally emits the full span-tree
+//! snapshot.
 
 use std::time::Instant;
 
@@ -23,7 +25,7 @@ use cualign::{Aligner, AlignerConfig};
 use cualign_bench::{env_u64, json::JsonRecord};
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::permutation::AlignmentInstance;
-use cualign_rt::Rng;
+use cualign_rt::{par, Rng};
 
 const RECORD_PATH: &str = "BENCH_multilevel.json";
 
@@ -94,6 +96,8 @@ fn main() {
         .int("levels_requested", levels)
         .int("depth", depth)
         .int("bp_iters", bp_iters)
+        .int("host_cores", par::threads())
+        .int("threads", par::threads())
         .num("flat_s", flat_s)
         .num("multilevel_s", ml_s)
         .num("speedup", speedup)

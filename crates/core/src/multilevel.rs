@@ -36,7 +36,8 @@
 //! Every stage is instrumented: a `multilevel.coarsen` span, a
 //! `multilevel.coarse_align` span wrapping the coarsest-level session,
 //! per-level `multilevel.level<k>.{band,overlap,bp,repair}` spans under
-//! a `multilevel.level<k>.refine` parent, and per-level
+//! a `multilevel.level<k>.refine` parent (the band's orphan rescue
+//! nests as `multilevel.level<k>.fallback`), and per-level
 //! `multilevel.level<k>.{projected_pairs,band_edges,band_fallback,bp_matched,repaired_pairs}`
 //! counters (always-on atomics, like all registry counters).
 //!
@@ -64,8 +65,6 @@
 //! assert!(result.scores.ncv_gs3 > 0.0);
 //! # Ok::<(), cualign::AlignError>(())
 //! ```
-
-use std::collections::HashMap;
 
 use crate::config::AlignerConfig;
 use crate::error::AlignError;
@@ -221,6 +220,8 @@ pub fn align_multilevel_with_registry(
                 ml.band_k,
                 Some((&emb_a, &emb_b)),
                 ann.as_ref(),
+                registry,
+                j,
             )
         });
         registry
@@ -312,6 +313,45 @@ fn inherit_rows(coarse: &DenseMatrix, merge_map: &[VertexId], n_fine: usize) -> 
     out
 }
 
+/// Per-piece scratch of the band vote tally: an epoch-tagged dense vote
+/// array over B's vertices plus the vertices the open epoch touched, so
+/// a vertex's tally costs its votes, not a clear of the array.
+struct VoteTally {
+    /// `(epoch, vote)` per B vertex; the vote is live iff the epoch is.
+    slots: Vec<(u32, f64)>,
+    /// B vertices voted for in the open epoch, in first-vote order.
+    touched: Vec<VertexId>,
+    /// The candidates kept from the open tally.
+    kept: Vec<(VertexId, f64)>,
+    epoch: u32,
+}
+
+impl VoteTally {
+    fn new(nb: usize) -> Self {
+        VoteTally {
+            slots: vec![(0, 0.0); nb],
+            touched: Vec::new(),
+            kept: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// Starts a fresh tally under a new epoch.
+    fn open(&mut self) {
+        self.epoch += 1;
+        self.touched.clear();
+    }
+
+    fn add(&mut self, v: VertexId, vote: f64) {
+        let slot = &mut self.slots[v as usize];
+        if slot.0 != self.epoch {
+            *slot = (self.epoch, 0.0);
+            self.touched.push(v);
+        }
+        slot.1 += vote;
+    }
+}
+
 /// Builds the refinement band at one level: each fine A-vertex's
 /// candidates are its *seeds* (children of its matched coarse parent's
 /// mate) plus neighborhood-vote candidates — every neighbor `u'` of `u`
@@ -329,7 +369,8 @@ fn inherit_rows(coarse: &DenseMatrix, merge_map: &[VertexId], n_fine: usize) -> 
 /// Vertices whose vote set comes up empty (unmatched coarse parent in a
 /// sparse neighborhood) would otherwise be unmatchable at every finer
 /// level — with embeddings they fall back to a blocked kNN query
-/// ([`cualign_sparsify::knn_candidates`]) against the B-side rows.
+/// ([`cualign_sparsify::knn_candidates`]) against the B-side rows,
+/// timed as the `multilevel.level<level>.fallback` span of `registry`.
 #[allow(clippy::too_many_arguments)]
 fn build_band(
     ga: &CsrGraph,
@@ -340,6 +381,8 @@ fn build_band(
     band_k: usize,
     embeddings: Option<(&DenseMatrix, &DenseMatrix)>,
     ann: Option<&AnnConfig>,
+    registry: &Registry,
+    level: usize,
 ) -> Band {
     let na = ga.num_vertices();
     let seeds_of = |u: VertexId| -> &[VertexId] {
@@ -350,48 +393,64 @@ fn build_band(
     };
 
     let mut per_vertex: Vec<Vec<(VertexId, VertexId, f64)>> = vec![Vec::new(); na];
-    // A vertex's tally costs a few hashed votes per scanned neighbor.
-    par::map(
-        &mut per_vertex,
+    // A vertex's tally costs a few votes per scanned neighbor.
+    par::for_each_init(
+        per_vertex.iter_mut().collect(),
         par::min_len_for(4 * MAX_NEIGHBOR_SCAN),
-        |u| {
+        || VoteTally::new(gb.num_vertices()),
+        |tally, u, out| {
             let u = u as VertexId;
-            let mut votes: HashMap<VertexId, f64> = HashMap::new();
+            tally.open();
             // Direct projection: strong prior on the seed pairs.
             for &s in seeds_of(u) {
-                *votes.entry(s).or_insert(0.0) += 2.0;
+                tally.add(s, 2.0);
             }
             // Neighborhood consistency votes.
             for &up in ga.neighbors(u).iter().take(MAX_NEIGHBOR_SCAN) {
                 for &s in seeds_of(up) {
                     for &v in gb.neighbors(s).iter().take(MAX_NEIGHBOR_SCAN) {
-                        *votes.entry(v).or_insert(0.0) += 1.0;
+                        tally.add(v, 1.0);
                     }
                 }
             }
-            if votes.is_empty() {
-                return Vec::new();
+            if tally.touched.is_empty() {
+                return;
             }
-            let mut cands: Vec<(VertexId, f64)> = votes.into_iter().collect();
+            // Seeds always survive (each holds its own 2.0 vote, so it
+            // was touched); of the rest only the top `band_k` by vote
+            // do, picked by a linear-time selection. Sorting just the
+            // kept few gives the order a sort of every candidate would,
+            // and its head is the overall maximum.
             // total_cmp: votes are sums of constants so NaN cannot occur
             // today, but the total order keeps this sort panic-free and
             // deterministic if a weighted variant ever feeds it floats.
-            cands.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-            let max_vote = cands[0].1;
+            let by_vote =
+                |x: &(VertexId, f64), y: &(VertexId, f64)| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0));
             let seeds = seeds_of(u);
             let cap = band_k.max(1);
-            let mut non_seed = 0usize;
-            cands.retain(|&(v, _)| {
-                if seeds.contains(&v) {
-                    true
-                } else {
-                    non_seed += 1;
-                    non_seed <= cap
-                }
-            });
-            cands
-                .into_iter()
-                .map(|(v, vote)| {
+            let VoteTally {
+                slots,
+                touched,
+                kept,
+                ..
+            } = tally;
+            kept.clear();
+            kept.extend(
+                touched
+                    .iter()
+                    .filter(|v| !seeds.contains(v))
+                    .map(|&v| (v, slots[v as usize].1)),
+            );
+            if kept.len() > cap {
+                kept.select_nth_unstable_by(cap - 1, by_vote);
+                kept.truncate(cap);
+            }
+            kept.extend(seeds.iter().map(|&v| (v, slots[v as usize].1)));
+            kept.sort_unstable_by(by_vote);
+            let max_vote = kept[0].1;
+            *out = kept
+                .iter()
+                .map(|&(v, vote)| {
                     let wv = (0.5 + vote) / (0.5 + max_vote);
                     let w = match embeddings {
                         Some((ea, eb)) => {
@@ -402,7 +461,7 @@ fn build_band(
                     };
                     (u, v, w)
                 })
-                .collect()
+                .collect();
         },
     );
 
@@ -419,6 +478,7 @@ fn build_band(
     let mut fallback_pairs = 0usize;
     if let Some((ea, eb)) = embeddings {
         if !orphans.is_empty() && gb.num_vertices() > 0 {
+            let _span = registry.span(&format!("multilevel.level{level}.fallback"));
             let mut queries = DenseMatrix::zeros(orphans.len(), ea.cols());
             for (i, &u) in orphans.iter().enumerate() {
                 queries.row_mut(i).copy_from_slice(ea.row(u as usize));
@@ -481,6 +541,171 @@ mod tests {
     use cualign_graph::generators::erdos_renyi_gnm;
     use cualign_graph::permutation::AlignmentInstance;
     use cualign_rt::Rng;
+    use std::collections::BTreeMap;
+
+    /// The band as first written: a map tally per vertex, then the same
+    /// selection, weights and orphan rescue. The dense epoch tally of
+    /// [`build_band`] must reproduce it bit for bit.
+    fn reference_band(
+        ga: &CsrGraph,
+        gb: &CsrGraph,
+        level_a: &CoarseLevel,
+        level_b: &CoarseLevel,
+        coarse_mapping: &[Option<VertexId>],
+        band_k: usize,
+        embeddings: Option<(&DenseMatrix, &DenseMatrix)>,
+    ) -> Vec<(VertexId, VertexId, f64)> {
+        let seeds_of = |u: VertexId| -> &[VertexId] {
+            match coarse_mapping[level_a.merge_map[u as usize] as usize] {
+                Some(cb) => level_b.children_of(cb),
+                None => &[],
+            }
+        };
+        let mut triples = Vec::new();
+        let mut orphans = Vec::new();
+        for u in 0..ga.num_vertices() as VertexId {
+            let mut votes: BTreeMap<VertexId, f64> = BTreeMap::new();
+            for &s in seeds_of(u) {
+                *votes.entry(s).or_insert(0.0) += 2.0;
+            }
+            for &up in ga.neighbors(u).iter().take(MAX_NEIGHBOR_SCAN) {
+                for &s in seeds_of(up) {
+                    for &v in gb.neighbors(s).iter().take(MAX_NEIGHBOR_SCAN) {
+                        *votes.entry(v).or_insert(0.0) += 1.0;
+                    }
+                }
+            }
+            if votes.is_empty() {
+                orphans.push(u);
+                continue;
+            }
+            let mut cands: Vec<(VertexId, f64)> = votes.into_iter().collect();
+            cands.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+            let max_vote = cands[0].1;
+            let mut non_seed = 0usize;
+            for (v, vote) in cands {
+                if !seeds_of(u).contains(&v) {
+                    non_seed += 1;
+                    if non_seed > band_k.max(1) {
+                        continue;
+                    }
+                }
+                let wv = (0.5 + vote) / (0.5 + max_vote);
+                let w = match embeddings {
+                    Some((ea, eb)) => {
+                        let sim = vecops::dot_unit(ea.row(u as usize), eb.row(v as usize));
+                        0.5 * (wv + (1.0 + sim) / 2.0)
+                    }
+                    None => wv,
+                };
+                triples.push((u, v, w));
+            }
+        }
+        if let Some((ea, eb)) = embeddings {
+            if !orphans.is_empty() {
+                let mut queries = DenseMatrix::zeros(orphans.len(), ea.cols());
+                for (i, &u) in orphans.iter().enumerate() {
+                    queries.row_mut(i).copy_from_slice(ea.row(u as usize));
+                }
+                let knn = knn_candidates(&queries, eb, band_k.max(1), KnnDirection::AtoB);
+                triples.extend(
+                    knn.into_iter()
+                        .map(|(qi, v, w)| (orphans[qi as usize], v, w)),
+                );
+            }
+        }
+        triples
+    }
+
+    /// A graph with a hub adjacent to `hub_deg` vertices, random edges
+    /// among `n - isolated` vertices, and `isolated` trailing isolated
+    /// vertices (singleton coarse parents, hence orphans when unmatched).
+    fn hub_graph(n: usize, m: usize, hub_deg: usize, isolated: usize, rng: &mut Rng) -> CsrGraph {
+        let live = n - isolated;
+        let mut pairs: Vec<(VertexId, VertexId)> =
+            (1..=hub_deg as VertexId).map(|v| (0, v)).collect();
+        for _ in 0..m {
+            pairs.push((rng.below(live) as VertexId, rng.below(live) as VertexId));
+        }
+        CsrGraph::from_edges(n, &pairs)
+    }
+
+    fn unit_rows(n: usize, d: usize, rng: &mut Rng) -> DenseMatrix {
+        let mut m = DenseMatrix::zeros(n, d);
+        for i in 0..n {
+            let row = m.row_mut(i);
+            for x in row.iter_mut() {
+                *x = rng.f64() - 0.5;
+            }
+            let norm = vecops::dot(row, row).sqrt();
+            row.iter_mut().for_each(|x| *x /= norm);
+        }
+        m
+    }
+
+    #[test]
+    fn band_tally_matches_map_reference() {
+        let ccfg = CoarsenConfig {
+            min_vertices: 8,
+            ..CoarsenConfig::default()
+        };
+        // (na, nb, hub degree, isolated vertices, edge factor).
+        let shapes = [
+            (300, 260, 200, 12, 3),
+            (180, 420, 150, 0, 2),
+            (90, 90, 0, 20, 1),
+            (2600, 2300, 300, 40, 3),
+        ];
+        for (case, &(na, nb, hub, iso, ef)) in shapes.iter().enumerate() {
+            let mut rng = Rng::new(40 + case as u64);
+            let ga = hub_graph(na, ef * na, hub.min(na - iso - 1), iso, &mut rng);
+            let gb = hub_graph(nb, ef * nb, hub.min(nb - iso - 1), iso, &mut rng);
+            let ha = CoarseningHierarchy::build(&ga, 1, &ccfg);
+            let hb = CoarseningHierarchy::build(&gb, 1, &ccfg);
+            let (la, lb) = (ha.level(0), hb.level(0));
+            let cnb = lb.graph.num_vertices();
+            // A partial, not necessarily injective, coarse mapping.
+            let mut mapping: Vec<Option<VertexId>> = (0..la.graph.num_vertices())
+                .map(|_| rng.bool(0.7).then(|| rng.below(cnb) as VertexId))
+                .collect();
+            // Unmatched parents of the isolated vertices make orphans.
+            for u in na - iso..na {
+                mapping[la.merge_map[u] as usize] = None;
+            }
+            let (ea, eb) = (unit_rows(na, 6, &mut rng), unit_rows(nb, 6, &mut rng));
+            for emb in [None, Some((&ea, &eb))] {
+                let want = reference_band(&ga, &gb, la, lb, &mapping, 5, emb);
+                for threads in [1, 2] {
+                    let band = par::with_threads(threads, || {
+                        build_band(
+                            &ga,
+                            &gb,
+                            la,
+                            lb,
+                            &mapping,
+                            5,
+                            emb,
+                            None,
+                            fresh_registry(),
+                            0,
+                        )
+                    });
+                    let bits = |t: &[(VertexId, VertexId, f64)]| -> Vec<(VertexId, VertexId, u64)> {
+                        t.iter().map(|&(a, b, w)| (a, b, w.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&band.triples),
+                        bits(&want),
+                        "case {case}, embeddings {}, {threads} threads",
+                        emb.is_some()
+                    );
+                    if emb.is_some() && iso > 0 {
+                        assert!(band.fallback_pairs > 0, "case {case} has no orphans");
+                    }
+                }
+            }
+        }
+    }
 
     fn fresh_registry() -> &'static Registry {
         Box::leak(Box::new(Registry::new_enabled()))
@@ -539,7 +764,18 @@ mod tests {
         let cn = level.graph.num_vertices();
         // Identity mapping at the coarse level.
         let mapping: Vec<Option<VertexId>> = (0..cn as VertexId).map(Some).collect();
-        let band = build_band(&g, &g, level, level, &mapping, 8, None, None);
+        let band = build_band(
+            &g,
+            &g,
+            level,
+            level,
+            &mapping,
+            8,
+            None,
+            None,
+            fresh_registry(),
+            0,
+        );
         assert_eq!(band.projected_pairs, 80);
         // Every vertex's own seed set (its siblings) must appear.
         for u in 0..80u32 {

@@ -212,49 +212,67 @@ pub fn top_degree_anchors(g: &CsrGraph, k: usize) -> Vec<usize> {
     idx
 }
 
-/// Count of elements common to two strictly-sorted slices (two-pointer
-/// merge; CSR adjacency is sorted and deduplicated by construction).
-fn sorted_intersection_count(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (mut i, mut j, mut count) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
+/// Epoch-tagged vertex marks: a set over a graph's vertices that empties
+/// in O(1) by moving to a new epoch.
+struct EpochMarks {
+    tags: Vec<u32>,
+    epoch: u32,
+}
+
+impl EpochMarks {
+    fn new(n: usize) -> Self {
+        EpochMarks {
+            tags: vec![0; n],
+            epoch: 0,
         }
     }
-    count
+
+    /// Empties the set.
+    fn open(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// Inserts `v`; true iff it was not in the set yet.
+    fn mark(&mut self, v: VertexId) -> bool {
+        let tag = &mut self.tags[v as usize];
+        let fresh = *tag != self.epoch;
+        *tag = self.epoch;
+        fresh
+    }
+
+    fn is_marked(&self, v: VertexId) -> bool {
+        self.tags[v as usize] == self.epoch
+    }
 }
 
 /// Raw (un-standardized) feature row for vertex `u`: log-degree,
 /// mean/max neighbor degree (log), 2-hop size (log), clustering
-/// coefficient. `scratch` is a reusable buffer for the two-hop merge.
-fn feature_row(g: &CsrGraph, u: usize, scratch: &mut Vec<VertexId>, row: &mut [f64]) {
+/// coefficient. `marks` is reusable scratch: the neighbor set of `u` and
+/// the two-hop set.
+fn feature_row(g: &CsrGraph, u: usize, marks: &mut [EpochMarks; 2], row: &mut [f64]) {
     let nbrs = g.neighbors(u as VertexId);
     let deg = nbrs.len();
     let (mut sum_nd, mut max_nd) = (0usize, 0usize);
-    let mut tri = 0usize;
-    scratch.clear();
-    for (idx, &v) in nbrs.iter().enumerate() {
+    let (mut tri, mut reached) = (0usize, 0usize);
+    let [adjacent, two_hop_set] = marks;
+    adjacent.open();
+    two_hop_set.open();
+    for &v in nbrs {
+        adjacent.mark(v);
+    }
+    // One pass over the neighbor lists: the two-hop set is their union,
+    // counted through first marks, and a triangle at u is a pair of
+    // adjacent neighbors (v, w), counted once at its smaller end.
+    for &v in nbrs {
         let vn = g.neighbors(v);
         sum_nd += vn.len();
         max_nd = max_nd.max(vn.len());
-        // Two-hop candidates: concatenate now, dedup once after the loop
-        // (the adjacency lists are sorted, but their union is not).
-        scratch.extend_from_slice(vn);
-        // Triangles at u: each unordered neighbor pair (v, w) with v < w
-        // in CSR position; sorted intersection replaces the seed's
-        // per-pair `has_edge` binary searches.
-        tri += sorted_intersection_count(&nbrs[idx + 1..], vn);
+        for &w in vn {
+            reached += two_hop_set.mark(w) as usize;
+            tri += (w > v && adjacent.is_marked(w)) as usize;
+        }
     }
-    scratch.sort_unstable();
-    scratch.dedup();
-    let self_hit = scratch.binary_search(&(u as VertexId)).is_ok() as usize;
-    let two_hop = scratch.len() - self_hit;
+    let two_hop = reached - two_hop_set.is_marked(u as VertexId) as usize;
     row[0] = (1.0 + deg as f64).ln();
     row[1] = if deg == 0 {
         0.0
@@ -313,12 +331,21 @@ pub fn structural_features_for(g: &CsrGraph, rows: &[usize]) -> DenseMatrix {
     }
     let blocks: Vec<&mut [f64]> = f.data_mut().chunks_mut(5 * ROW_BLOCK).collect();
     // A feature row costs a few hundred operations on typical degrees.
-    par::for_each(blocks, par::min_len_for(ROW_BLOCK * 256), |ci, chunk| {
-        let mut scratch: Vec<VertexId> = Vec::new();
-        for (r, row) in chunk.chunks_exact_mut(5).enumerate() {
-            feature_row(g, rows[ci * ROW_BLOCK + r], &mut scratch, row);
-        }
-    });
+    par::for_each_init(
+        blocks,
+        par::min_len_for(ROW_BLOCK * 256),
+        || {
+            [
+                EpochMarks::new(g.num_vertices()),
+                EpochMarks::new(g.num_vertices()),
+            ]
+        },
+        |marks, ci, chunk| {
+            for (r, row) in chunk.chunks_exact_mut(5).enumerate() {
+                feature_row(g, rows[ci * ROW_BLOCK + r], marks, row);
+            }
+        },
+    );
     standardize_columns(&mut f);
     f
 }
@@ -647,7 +674,7 @@ fn align_impl(
 mod tests {
     use super::*;
     use crate::proximity::{fastrp_embedding, FastRpConfig};
-    use cualign_graph::generators::barabasi_albert;
+    use cualign_graph::generators::{barabasi_albert, erdos_renyi_gnm};
     use cualign_graph::Permutation;
     use cualign_linalg::qr::orthonormalize;
     use cualign_rt::Rng;
@@ -933,5 +960,95 @@ mod tests {
         // the pin is the shared fixed point: residual convergence slack
         // sits below 1e-4 here, a different matching at O(0.1)–O(1).
         assert!(dq < 1e-3, "rotations diverge by {dq:e}");
+    }
+
+    /// Count of elements common to two strictly-sorted slices.
+    fn sorted_intersection_count(a: &[VertexId], b: &[VertexId]) -> usize {
+        let (mut i, mut j, mut count) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    count += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        count
+    }
+
+    /// [`feature_row`] as first written: the two-hop set by concatenating
+    /// the neighbor lists, then sort + dedup, and triangles by merging
+    /// each neighbor's list with the later neighbors of `u`.
+    fn reference_feature_row(g: &CsrGraph, u: usize, row: &mut [f64]) {
+        let nbrs = g.neighbors(u as VertexId);
+        let deg = nbrs.len();
+        let (mut sum_nd, mut max_nd) = (0usize, 0usize);
+        let mut tri = 0usize;
+        let mut two_hop_set: Vec<VertexId> = Vec::new();
+        for (idx, &v) in nbrs.iter().enumerate() {
+            let vn = g.neighbors(v);
+            sum_nd += vn.len();
+            max_nd = max_nd.max(vn.len());
+            two_hop_set.extend_from_slice(vn);
+            tri += sorted_intersection_count(&nbrs[idx + 1..], vn);
+        }
+        two_hop_set.sort_unstable();
+        two_hop_set.dedup();
+        let self_hit = two_hop_set.binary_search(&(u as VertexId)).is_ok() as usize;
+        let two_hop = two_hop_set.len() - self_hit;
+        row[0] = (1.0 + deg as f64).ln();
+        row[1] = if deg == 0 {
+            0.0
+        } else {
+            (1.0 + sum_nd as f64 / deg as f64).ln()
+        };
+        row[2] = (1.0 + max_nd as f64).ln();
+        row[3] = (1.0 + two_hop as f64).ln();
+        row[4] = if deg >= 2 {
+            2.0 * tri as f64 / (deg * (deg - 1)) as f64
+        } else {
+            0.0
+        };
+    }
+
+    #[test]
+    fn structural_features_match_sort_dedup_reference() {
+        let mut rng = Rng::new(17);
+        let n = 40usize;
+        let complete: Vec<(VertexId, VertexId)> = (0..n as VertexId)
+            .flat_map(|u| (u + 1..n as VertexId).map(move |v| (u, v)))
+            .collect();
+        let star: Vec<(VertexId, VertexId)> = (1..n as VertexId).map(|v| (0, v)).collect();
+        // Edges among the first half only: the rest are isolated.
+        let half: Vec<(VertexId, VertexId)> = (0..60)
+            .map(|_| (rng.below(n / 2) as VertexId, rng.below(n / 2) as VertexId))
+            .collect();
+        let graphs = [
+            ("complete", CsrGraph::from_edges(n, &complete)),
+            ("star", CsrGraph::from_edges(n, &star)),
+            ("empty", CsrGraph::empty(n)),
+            ("isolated", CsrGraph::from_edges(n, &half)),
+            ("ba", barabasi_albert(700, 3, &mut rng)),
+            ("er", erdos_renyi_gnm(9000, 27_000, &mut rng)),
+        ];
+        for (name, g) in &graphs {
+            let mut want = DenseMatrix::zeros(g.num_vertices(), 5);
+            for u in 0..g.num_vertices() {
+                reference_feature_row(g, u, want.row_mut(u));
+            }
+            standardize_columns(&mut want);
+            for threads in [1, 2] {
+                let got = cualign_rt::par::with_threads(threads, || structural_features(g));
+                let same = got
+                    .data()
+                    .iter()
+                    .zip(want.data())
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "{name}, {threads} threads");
+            }
+        }
     }
 }

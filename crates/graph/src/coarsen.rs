@@ -32,8 +32,6 @@
 //! the graph falls below [`CoarsenConfig::min_vertices`], so the
 //! returned depth can be less than the requested `L`.
 
-use std::collections::HashMap;
-
 use crate::csr::CsrGraph;
 use crate::VertexId;
 
@@ -212,9 +210,12 @@ fn contract(
         }
     }
 
-    // Accumulate coarse edges (each undirected fine edge once, via u < v).
+    // Coarse edge contributions, each undirected fine edge once (via
+    // u < v), in fine-edge visit order. A stable sort by coarse key
+    // keeps that order within a key, so each key's weight sums its fine
+    // edges in visit order.
     let offsets = g.offsets();
-    let mut acc: HashMap<(VertexId, VertexId), f64> = HashMap::new();
+    let mut contrib: Vec<((VertexId, VertexId), f64)> = Vec::new();
     for u in 0..n {
         for (i, &v) in g.neighbors(u as VertexId).iter().enumerate() {
             if (u as VertexId) >= v {
@@ -224,19 +225,31 @@ fn contract(
             if cu == cv {
                 continue; // collapsed internal edge
             }
-            let key = (cu.min(cv), cu.max(cv));
-            *acc.entry(key).or_insert(0.0) += edge_weights[offsets[u] + i];
+            contrib.push(((cu.min(cv), cu.max(cv)), edge_weights[offsets[u] + i]));
         }
     }
-    let pairs: Vec<(VertexId, VertexId)> = acc.keys().copied().collect();
+    contrib.sort_by_key(|&(key, _)| key);
+    let mut acc: Vec<((VertexId, VertexId), f64)> = Vec::new();
+    for &(key, w) in &contrib {
+        match acc.last_mut() {
+            Some((last, sum)) if *last == key => *sum += w,
+            // Each sum starts from +0.0, so a lone -0.0 weight reads +0.0.
+            _ => acc.push((key, 0.0 + w)),
+        }
+    }
+    let pairs: Vec<(VertexId, VertexId)> = acc.iter().map(|&(key, _)| key).collect();
     let graph = CsrGraph::from_edges(coarse_n, &pairs);
 
-    // Weights aligned to the coarse CSR (both directions).
-    let mut cw = Vec::with_capacity(graph.targets().len());
-    for cu in 0..coarse_n as VertexId {
-        for &cv in graph.neighbors(cu) {
-            let key = (cu.min(cv), cu.max(cv));
-            cw.push(acc[&key]);
+    // Weights aligned to the coarse CSR (both directions), by a counting
+    // pass: keys ascend, so coarse vertex c meets its smaller neighbors
+    // (keys (x, c), x ascending) before its larger ones (keys (c, y)),
+    // which is its sorted CSR order.
+    let mut cursor = graph.offsets()[..coarse_n].to_vec();
+    let mut cw = vec![0.0; graph.targets().len()];
+    for &((cu, cv), w) in &acc {
+        for c in [cu, cv] {
+            cw[cursor[c as usize]] = w;
+            cursor[c as usize] += 1;
         }
     }
 
@@ -430,5 +443,73 @@ mod tests {
         let level = h.level(0);
         let total: f64 = level.edge_weights.iter().sum::<f64>() / 2.0;
         assert!((1.0..=5.0).contains(&total));
+    }
+
+    /// [`contract`]'s coarse edge weights as first written: a map keyed
+    /// by coarse pair, summed in fine-edge visit order, then read off in
+    /// the coarse CSR's order.
+    fn reference_weights(
+        g: &CsrGraph,
+        w: &[f64],
+        merge_map: &[VertexId],
+        coarse: &CsrGraph,
+    ) -> Vec<f64> {
+        let offsets = g.offsets();
+        let mut acc: std::collections::BTreeMap<(VertexId, VertexId), f64> = Default::default();
+        for u in 0..g.num_vertices() {
+            for (i, &v) in g.neighbors(u as VertexId).iter().enumerate() {
+                let (cu, cv) = (merge_map[u], merge_map[v as usize]);
+                if (u as VertexId) < v && cu != cv {
+                    *acc.entry((cu.min(cv), cu.max(cv))).or_insert(0.0) += w[offsets[u] + i];
+                }
+            }
+        }
+        let keys: Vec<(VertexId, VertexId)> = acc.keys().copied().collect();
+        assert_eq!(coarse, &CsrGraph::from_edges(coarse.num_vertices(), &keys));
+        (0..coarse.num_vertices() as VertexId)
+            .flat_map(|cu| coarse.neighbors(cu).iter().map(move |&cv| (cu, cv)))
+            .map(|(cu, cv)| acc[&(cu.min(cv), cu.max(cv))])
+            .collect()
+    }
+
+    #[test]
+    fn contract_sums_weights_like_a_map_in_visit_order() {
+        for seed in 0..6u64 {
+            let g = er(400, 1600 + 300 * seed as usize, 20 + seed);
+            // Symmetric, non-integer fine weights, so the order of each
+            // coarse edge's sum is observable in its bits.
+            let w: Vec<f64> = (0..g.num_vertices() as VertexId)
+                .flat_map(|u| g.neighbors(u).iter().map(move |&v| (u.min(v), u.max(v))))
+                .map(|(x, y)| {
+                    0.1 + (((x as u64 * 2_654_435_761) ^ (y as u64 * 40_503)) % 1000) as f64
+                        * 0.0137
+                })
+                .collect();
+            let vw = vec![1u32; g.num_vertices()];
+            let mate = hem_match(&g, &w, seed);
+            let level = contract(&g, &w, &vw, &mate);
+            let want = reference_weights(&g, &w, &level.merge_map, &level.graph);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&level.edge_weights), bits(&want), "seed {seed}");
+            // Two levels deep: the second contraction sums non-integer sums.
+            let mate2 = hem_match(&level.graph, &level.edge_weights, seed + 1);
+            let level2 = contract(
+                &level.graph,
+                &level.edge_weights,
+                &level.vertex_weights,
+                &mate2,
+            );
+            let want2 = reference_weights(
+                &level.graph,
+                &level.edge_weights,
+                &level2.merge_map,
+                &level2.graph,
+            );
+            assert_eq!(
+                bits(&level2.edge_weights),
+                bits(&want2),
+                "seed {seed}, level 2"
+            );
+        }
     }
 }

@@ -36,8 +36,10 @@
 //! that scan emits each row already sorted and duplicate-free, so the
 //! fill writes its final CSR slices directly, balanced across workers
 //! by `linalg::sparse` merge plans (one over `L`'s A-side CSR for the
-//! count, one over the counted offsets for the fill). The original
-//! per-row enumerate-sort-dedup construction is kept as
+//! count, one over the counted offsets for the fill). The transpose
+//! permutation then takes one counting pass with a cursor per row, no
+//! searches. The original per-row enumerate-sort-dedup construction
+//! (with a binary search per nonzero for the transpose) is kept as
 //! [`OverlapMatrix::build_reference`] — the pinned oracle
 //! (`docs/oracle_manifest.txt`) that [`OverlapMatrix::build`] must
 //! reproduce exactly (same offsets, columns, and permutation).
@@ -93,8 +95,9 @@ impl OverlapMatrix {
     /// phase 1 counts each row's nonzeros through a per-A-endpoint
     /// multiplicity table, phase 2 marks `N_B(v)` and fills the final
     /// CSR slices directly (already sorted and duplicate-free — see the
-    /// module docs), balanced by merge plans. Produces output identical
-    /// to [`OverlapMatrix::build_reference`].
+    /// module docs), balanced by merge plans, and a serial counting pass
+    /// builds the transpose permutation. Produces output identical to
+    /// [`OverlapMatrix::build_reference`].
     pub fn build(a: &CsrGraph, b: &CsrGraph, l: &BipartiteGraph) -> Self {
         let t0 = std::time::Instant::now();
         let _span = cualign_telemetry::global().span("overlap.build");
@@ -218,29 +221,24 @@ impl OverlapMatrix {
         let squares_checked = count_checks + fill_checks;
 
         // Transpose permutation: nonzero j at (row, col) ↦ index of (col,
-        // row). Symmetry of the pattern guarantees the mirror exists.
-        let mut transpose_perm = vec![0u32; nnz];
-        let perm_parts = split_owned_spans(&plan, &row_offsets, &mut transpose_perm);
-        {
-            let row_offsets = &row_offsets;
-            let col_idx = &col_idx;
-            par::for_each(perm_parts, plan.min_run_chunks(), |ci, part| {
-                let c = &plan.chunks()[ci];
-                let base = row_offsets[c.first_owned];
-                for row in c.first_owned..c.first_owned + c.owned_rows {
-                    for j in row_offsets[row]..row_offsets[row + 1] {
-                        let col = col_idx[j] as usize;
-                        let cs = row_offsets[col];
-                        let ce = row_offsets[col + 1];
-                        let pos = col_idx[cs..ce]
-                            .binary_search(&(row as EdgeId))
-                            // lint: allow(no-panic): the fill phase inserts (u',v') iff (v',u') is also inserted, so the pattern is structurally symmetric by construction
-                            .expect("overlap matrix not structurally symmetric");
-                        part[j - base] = (cs + pos) as u32;
-                    }
-                }
-            });
-        }
+        // row), in one counting pass. Rows are visited in ascending
+        // order and the pattern is symmetric, so the k-th nonzero met in
+        // column `col` comes from the k-th smallest row holding `col`,
+        // whose mirror is the k-th entry of row `col`: a cursor per row,
+        // starting at its offset, hands out the mirrors in order.
+        let mut cursor: Vec<u32> = row_offsets[..m].iter().map(|&o| o as u32).collect();
+        let transpose_perm: Vec<u32> = col_idx
+            .iter()
+            .map(|&col| {
+                let slot = &mut cursor[col as usize];
+                *slot += 1;
+                *slot - 1
+            })
+            .collect();
+        debug_assert!(
+            (0..m).all(|r| cursor[r] as usize == row_offsets[r + 1]),
+            "overlap matrix not structurally symmetric"
+        );
 
         let reg = cualign_telemetry::global();
         reg.counter("overlap.builds").inc();

@@ -128,3 +128,34 @@ fn build_matches_reference_on_degenerate_instances() {
     let l = BipartiteGraph::from_weighted_edges(4, 4, &[]);
     assert_builds_agree(&a, &b, &l);
 }
+
+/// Dense shape of the coarsest multilevel pair: graphs about 45% dense
+/// and a candidate band of a few dozen targets per vertex, so rows hold
+/// several hundred nonzeros and every column meets hundreds of rows —
+/// the regime where the transpose permutation's per-column cursors do
+/// the most work.
+#[test]
+fn build_matches_reference_on_dense_coarse_shaped_pairs() {
+    for seed in [1u64, 2] {
+        let n = 80usize;
+        let mut rng = Rng::new(seed);
+        let a = erdos_renyi_gnm(n, 45 * n * (n - 1) / 200, &mut rng);
+        let p = Permutation::random(n, &mut rng);
+        let b = p.apply_to_graph(&a);
+        let mut triples: Vec<(VertexId, VertexId, f64)> = Vec::new();
+        for i in 0..n as VertexId {
+            triples.push((i, p.apply(i), 1.0));
+            for _ in 0..20 {
+                triples.push((i, rng.below(n) as VertexId, 1.0));
+            }
+        }
+        let l = BipartiteGraph::from_weighted_edges(n, n, &triples);
+        let s = OverlapMatrix::build(&a, &b, &l);
+        let max_row = (0..l.num_edges() as u32)
+            .map(|e| s.row_degree(e))
+            .max()
+            .unwrap_or(0);
+        assert!(max_row >= 300, "rows too sparse: max {max_row}");
+        assert_builds_agree(&a, &b, &l);
+    }
+}

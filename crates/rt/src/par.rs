@@ -6,7 +6,8 @@
 //! * [`map`] — `out[i] = f(i)` into a pre-sized output, order kept;
 //! * [`for_each`] — `f(i, items[i])` over owned items, typically
 //!   disjoint mutable pieces of one buffer (rows, row blocks,
-//!   merge-chunk output spans);
+//!   merge-chunk output spans); [`for_each_init`] adds a scratch
+//!   built once per piece;
 //! * [`map_reduce`] — `f(i, items[i])` folded with `combine` in item
 //!   order;
 //! * [`flat_map`] — each index of `0..n` pushes any number of outputs,
@@ -227,18 +228,36 @@ where
 /// or the output spans of a merge plan's chunks.
 #[inline]
 pub fn for_each<T: Send>(items: Vec<T>, min_len: usize, f: impl Fn(usize, T) + Sync) {
+    for_each_init(items, min_len, || (), |(), i, item| f(i, item));
+}
+
+/// As [`for_each`], with scratch state: `init()` builds one scratch per
+/// piece of consecutive items (at most four per thread, one in all when
+/// the call runs inline) and `f(&mut scratch, i, items[i])` reuses it
+/// across the piece. For dense accumulators sized by a graph, whose
+/// allocation would cost more than the item itself; a result must not
+/// depend on what earlier items left in the scratch.
+#[inline]
+pub fn for_each_init<T: Send, S>(
+    items: Vec<T>,
+    min_len: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, T) + Sync,
+) {
+    let run = |base: usize, run: Vec<T>| {
+        if run.is_empty() {
+            return;
+        }
+        let mut scratch = init();
+        for (k, item) in run.into_iter().enumerate() {
+            f(&mut scratch, base + k, item);
+        }
+    };
     let n = runs(items.len(), min_len);
     if n <= 1 {
-        for (i, item) in items.into_iter().enumerate() {
-            f(i, item);
-        }
-        return;
+        return run(0, items);
     }
-    execute(split_vec(items, n), n, &|(base, run): (usize, Vec<T>)| {
-        for (k, item) in run.into_iter().enumerate() {
-            f(base + k, item);
-        }
-    });
+    execute(split_vec(items, n), n, &|(base, items)| run(base, items));
 }
 
 /// Writes `out[i] = f(i)` for every index of `out`, in parallel.
