@@ -17,6 +17,7 @@
 //! support; like the main pipeline, the support is truncated to the top
 //! candidates per vertex to stay `O(n·k)`.
 
+use crate::error::{AlignError, GraphSide};
 use crate::scoring::{score_alignment, AlignmentScores};
 use cualign_graph::{BipartiteGraph, CsrGraph, VertexId};
 use cualign_matching::{suitor_matching, Matching};
@@ -79,35 +80,67 @@ impl SimBuffer {
 /// the reason the original system feeds sequence-similarity priors.
 /// Use [`isorank_align_with_prior`] to supply one.
 ///
-/// # Panics
-/// Panics if `alpha ∉ [0, 1)` or either graph is empty.
-pub fn isorank_align(a: &CsrGraph, b: &CsrGraph, cfg: &IsoRankConfig) -> IsoRankResult {
+/// # Errors
+/// [`AlignError::EmptyGraph`] if either graph has no vertices;
+/// [`AlignError::InvalidConfig`] if `alpha ∉ [0, 1)`.
+pub fn isorank_align(
+    a: &CsrGraph,
+    b: &CsrGraph,
+    cfg: &IsoRankConfig,
+) -> Result<IsoRankResult, AlignError> {
     isorank_align_with_prior(a, b, None, cfg)
 }
 
 /// Runs IsoRank with an optional prior `H` (row-major `na × nb`,
 /// non-negative; normalized internally) and rounds to an alignment.
 ///
-/// # Panics
-/// Panics if `alpha ∉ [0, 1)`, either graph is empty, or the prior has
-/// the wrong length.
+/// # Errors
+/// [`AlignError::EmptyGraph`] if either graph has no vertices;
+/// [`AlignError::InvalidConfig`] if `alpha ∉ [0, 1)` or the prior is not
+/// `na × nb` finite non-negative entries with positive total mass.
 pub fn isorank_align_with_prior(
     a: &CsrGraph,
     b: &CsrGraph,
     prior: Option<&[f64]>,
     cfg: &IsoRankConfig,
-) -> IsoRankResult {
-    assert!((0.0..1.0).contains(&cfg.alpha), "alpha must be in [0, 1)");
+) -> Result<IsoRankResult, AlignError> {
+    fn bad(field: &'static str, reason: String) -> Result<IsoRankResult, AlignError> {
+        Err(AlignError::InvalidConfig { field, reason })
+    }
     let na = a.num_vertices();
     let nb = b.num_vertices();
-    assert!(na > 0 && nb > 0, "empty input graph");
+    if na == 0 {
+        return Err(AlignError::EmptyGraph { side: GraphSide::A });
+    }
+    if nb == 0 {
+        return Err(AlignError::EmptyGraph { side: GraphSide::B });
+    }
+    if !(0.0..1.0).contains(&cfg.alpha) {
+        return bad(
+            "isorank.alpha",
+            format!("must be in [0, 1), got {}", cfg.alpha),
+        );
+    }
 
     // Normalized prior H (uniform if none supplied).
     let h: Vec<f64> = match prior {
         Some(p) => {
-            assert_eq!(p.len(), na * nb, "prior must be na × nb");
+            if p.len() != na * nb {
+                return bad(
+                    "isorank.prior",
+                    format!("must have na × nb = {} entries, got {}", na * nb, p.len()),
+                );
+            }
+            if p.iter().any(|x| !(x.is_finite() && *x >= 0.0)) {
+                return bad("isorank.prior", "entries must be finite and >= 0".into());
+            }
             let total: f64 = p.iter().sum();
-            assert!(total > 0.0, "prior must have positive mass");
+            if !(total > 0.0 && total.is_finite()) {
+                return bad(
+                    "isorank.prior",
+                    format!("must have positive mass, got {total}"),
+                );
+            }
             p.iter().map(|x| x / total).collect()
         }
         None => vec![1.0 / (na * nb) as f64; na * nb],
@@ -182,12 +215,12 @@ pub fn isorank_align_with_prior(
     let mapping: Vec<Option<VertexId>> =
         (0..na).map(|u| matching.mate_of_a(u as VertexId)).collect();
     let scores = score_alignment(a, b, &mapping);
-    IsoRankResult {
+    Ok(IsoRankResult {
         matching,
         mapping,
         scores,
         support_edges: l.num_edges(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -204,7 +237,7 @@ mod tests {
         // This is the known behavior that motivates priors.
         let mut rng = Rng::new(1);
         let a = erdos_renyi_gnm(40, 120, &mut rng);
-        let r = isorank_align(&a, &a, &IsoRankConfig::default());
+        let r = isorank_align(&a, &a, &IsoRankConfig::default()).unwrap();
         assert!(
             r.scores.ncv >= 0.45,
             "ncv collapsed entirely: {}",
@@ -222,7 +255,7 @@ mod tests {
         for i in 0..n {
             h[i * n + i] = 1.0;
         }
-        let r = isorank_align_with_prior(&a, &a, Some(&h), &IsoRankConfig::default());
+        let r = isorank_align_with_prior(&a, &a, Some(&h), &IsoRankConfig::default()).unwrap();
         assert!(r.scores.ncv > 0.9, "ncv {}", r.scores.ncv);
         assert!(r.scores.ec > 0.8, "ec {}", r.scores.ec);
     }
@@ -242,7 +275,8 @@ mod tests {
                 top_k: 0,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // The middle vertex (the only degree-2 one) must map to the middle.
         let mid_a = (0..3u32).find(|&u| a.degree(u) == 2).unwrap();
         let mid_b = (0..3u32).find(|&v| b.degree(v) == 2).unwrap();
@@ -254,22 +288,59 @@ mod tests {
         let mut rng = Rng::new(3);
         let a = erdos_renyi_gnm(25, 60, &mut rng);
         let b = erdos_renyi_gnm(25, 60, &mut rng);
-        let r1 = isorank_align(&a, &b, &IsoRankConfig::default());
-        let r2 = isorank_align(&a, &b, &IsoRankConfig::default());
+        let r1 = isorank_align(&a, &b, &IsoRankConfig::default()).unwrap();
+        let r2 = isorank_align(&a, &b, &IsoRankConfig::default()).unwrap();
         assert_eq!(r1.mapping, r2.mapping);
     }
 
     #[test]
-    #[should_panic(expected = "alpha")]
     fn rejects_bad_alpha() {
         let a = CsrGraph::from_edges(2, &[(0, 1)]);
-        let _ = isorank_align(
-            &a,
-            &a,
-            &IsoRankConfig {
-                alpha: 1.0,
+        for alpha in [1.0, -0.1, f64::NAN] {
+            let cfg = IsoRankConfig {
+                alpha,
                 ..Default::default()
-            },
-        );
+            };
+            assert!(matches!(
+                isorank_align(&a, &a, &cfg),
+                Err(AlignError::InvalidConfig {
+                    field: "isorank.alpha",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn empty_graph_is_a_typed_error() {
+        let empty = CsrGraph::from_edges(0, &[]);
+        let a = CsrGraph::from_edges(2, &[(0, 1)]);
+        let cfg = IsoRankConfig::default();
+        for (x, y, side) in [(&empty, &a, GraphSide::A), (&a, &empty, GraphSide::B)] {
+            assert!(matches!(
+                isorank_align(x, y, &cfg),
+                Err(AlignError::EmptyGraph { side: s }) if s == side
+            ));
+        }
+    }
+
+    #[test]
+    fn rejects_bad_prior() {
+        let a = CsrGraph::from_edges(2, &[(0, 1)]);
+        let cfg = IsoRankConfig::default();
+        for prior in [
+            vec![1.0; 3],
+            vec![0.0; 4],
+            vec![1.0, -1.0, 1.0, 1.0],
+            vec![1.0, f64::NAN, 1.0, 1.0],
+        ] {
+            assert!(matches!(
+                isorank_align_with_prior(&a, &a, Some(&prior), &cfg),
+                Err(AlignError::InvalidConfig {
+                    field: "isorank.prior",
+                    ..
+                })
+            ));
+        }
     }
 }

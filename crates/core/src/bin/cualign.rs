@@ -206,7 +206,7 @@ fn cmd_align(flags: &HashMap<String, String>) -> Result<(), String> {
             (r.mapping, "cone")
         }
         "isorank" => {
-            let r = isorank_align(&a, &b, &IsoRankConfig::default());
+            let r = isorank_align(&a, &b, &IsoRankConfig::default()).map_err(|e| e.to_string())?;
             eprintln!(
                 "IsoRank: NCV-GS3 = {:.4}, conserved = {}/{} edges",
                 r.scores.ncv_gs3,
@@ -352,7 +352,7 @@ fn generate(flags: &HashMap<String, String>) -> Result<(CsrGraph, Option<String>
 
 #[cfg(test)]
 mod tests {
-    use super::{cmd_generate, config_from_flags, generate, parse_flags};
+    use super::{cmd_align, cmd_generate, config_from_flags, generate, parse_flags};
     use cualign::SparsityChoice;
 
     fn v(items: &[&str]) -> Vec<String> {
@@ -415,6 +415,30 @@ mod tests {
         // Exact edge counts, and the implicit default, say nothing.
         assert_eq!(run("er", Some("1590")), (1590, None));
         assert_eq!(run("ba", None).1, None);
+    }
+
+    #[test]
+    fn empty_graph_is_a_clean_error_for_every_method() {
+        let dir = std::env::temp_dir();
+        let tag = std::process::id();
+        let empty = dir.join(format!("cualign-empty-{tag}.txt"));
+        let edge = dir.join(format!("cualign-edge-{tag}.txt"));
+        std::fs::write(&empty, "").unwrap();
+        std::fs::write(&edge, "0 1\n").unwrap();
+        for method in ["cualign", "cone", "isorank"] {
+            let args = v(&[
+                "--graph-a",
+                empty.to_str().unwrap(),
+                "--graph-b",
+                edge.to_str().unwrap(),
+                "--method",
+                method,
+            ]);
+            let err = cmd_align(&parse_flags(&args).unwrap()).unwrap_err();
+            assert_eq!(err, "input graph A has no vertices", "--method {method}");
+        }
+        std::fs::remove_file(empty).unwrap();
+        std::fs::remove_file(edge).unwrap();
     }
 
     #[test]

@@ -81,13 +81,13 @@ mod tests {
     use cualign_rt::Rng;
 
     fn cfg() -> AlignerConfig {
-        use cualign_embed::{EmbeddingMethod, SpectralConfig};
+        use cualign_embed::SpectralConfig;
         AlignerConfig::builder()
-            .embedding(EmbeddingMethod::Spectral(SpectralConfig {
+            .embedding(SpectralConfig {
                 dim: 24,
                 oversample: 12,
                 ..Default::default()
-            }))
+            })
             .sparsity(SparsityChoice::K(6))
             .bp_iters(12)
             .subspace_anchors(0)

@@ -5,10 +5,10 @@
 use crate::error::AlignError;
 use crate::multilevel::MultilevelConfig;
 use cualign_bp::BpConfig;
-use cualign_embed::{EmbeddingMethod, SubspaceAlignConfig};
+use cualign_embed::{SpectralConfig, SubspaceAlignConfig};
 use cualign_graph::{wl, BipartiteGraph, CsrGraph};
 use cualign_linalg::DenseMatrix;
-use cualign_sparsify::{AnnConfig, Sparsifier};
+use cualign_sparsify::AnnConfig;
 
 /// WL refinement rounds for the ANN variant's structural candidates.
 const WL_ROUNDS: usize = 2;
@@ -31,13 +31,6 @@ pub enum SparsityChoice {
     /// paper's union rule; a "new approach to sparsification" per the
     /// paper's future work.
     MutualK(usize),
-    /// Similarity threshold with a per-vertex cap.
-    Threshold {
-        /// Minimum edge weight `(1+cos)/2` retained.
-        min_weight: f64,
-        /// Maximum candidates per A-side vertex.
-        cap_per_vertex: usize,
-    },
     /// Approximate `k`-nearest neighbors: banded multi-probe LSH
     /// rescored exactly, unioned with Weisfeiler–Lehman label-bucket
     /// candidates when the input graphs are available (see
@@ -65,8 +58,8 @@ pub type SparsifyMethod = SparsityChoice;
 /// fixed BP iteration budget.
 #[derive(Clone, Debug)]
 pub struct AlignerConfig {
-    /// Proximity-embedding method for both graphs.
-    pub embedding: EmbeddingMethod,
+    /// Spectral embedding of both graphs (graph B's seed is offset).
+    pub embedding: SpectralConfig,
     /// Subspace-alignment (Eq. 2) parameters.
     pub subspace: SubspaceAlignConfig,
     /// Sparsification level for `L`.
@@ -84,7 +77,7 @@ pub struct AlignerConfig {
 impl Default for AlignerConfig {
     fn default() -> Self {
         AlignerConfig {
-            embedding: EmbeddingMethod::default(),
+            embedding: SpectralConfig::default(),
             subspace: SubspaceAlignConfig::default(),
             sparsity: SparsityChoice::Density(0.025),
             bp: BpConfig::default(),
@@ -114,7 +107,7 @@ impl AlignerConfig {
         fn bad(field: &'static str, reason: String) -> Result<(), AlignError> {
             Err(AlignError::InvalidConfig { field, reason })
         }
-        if self.embedding.dim() == 0 {
+        if self.embedding.dim == 0 {
             return bad("embedding.dim", "must be at least 1".into());
         }
         match self.sparsity {
@@ -131,20 +124,6 @@ impl AlignerConfig {
             SparsityChoice::MutualK(k) => {
                 if k == 0 {
                     return bad("sparsity.mutual_k", "must be at least 1".into());
-                }
-            }
-            SparsityChoice::Threshold {
-                min_weight,
-                cap_per_vertex,
-            } => {
-                if cap_per_vertex == 0 {
-                    return bad("sparsity.cap_per_vertex", "must be at least 1".into());
-                }
-                if !(0.0..=1.0).contains(&min_weight) {
-                    return bad(
-                        "sparsity.min_weight",
-                        format!("must be in [0, 1] (weights are (1+cos)/2), got {min_weight}"),
-                    );
                 }
             }
             SparsityChoice::Ann {
@@ -219,14 +198,13 @@ impl AlignerConfig {
     }
 
     /// Resolves the sparsity choice to a per-vertex `k` for graphs of the
-    /// given sizes (the cap for the threshold rule).
+    /// given sizes.
     pub fn resolve_k(&self, na: usize, nb: usize) -> usize {
         match self.sparsity {
             SparsityChoice::K(k) | SparsityChoice::MutualK(k) | SparsityChoice::Ann { k, .. } => {
                 k.max(1)
             }
             SparsityChoice::Density(d) => cualign_sparsify::density_to_k(na, nb, d),
-            SparsityChoice::Threshold { cap_per_vertex, .. } => cap_per_vertex.max(1),
         }
     }
 
@@ -276,18 +254,14 @@ impl AlignerConfig {
         yb: &DenseMatrix,
         graphs: Option<(&CsrGraph, &CsrGraph)>,
     ) -> BipartiteGraph {
-        let rule = match self.sparsity {
-            SparsityChoice::K(_) | SparsityChoice::Density(_) => Sparsifier::UnionKnn {
-                k: self.resolve_k(ya.rows(), yb.rows()),
-            },
-            SparsityChoice::MutualK(k) => Sparsifier::MutualKnn { k: k.max(1) },
-            SparsityChoice::Threshold {
-                min_weight,
-                cap_per_vertex,
-            } => Sparsifier::Threshold {
-                min_weight,
-                cap_per_vertex: cap_per_vertex.max(1),
-            },
+        match self.sparsity {
+            SparsityChoice::K(_) | SparsityChoice::Density(_) => {
+                let k = self.resolve_k(ya.rows(), yb.rows());
+                cualign_sparsify::build_alignment_graph(ya, yb, k)
+            }
+            SparsityChoice::MutualK(k) => {
+                cualign_sparsify::build_alignment_graph_mutual(ya, yb, k.max(1))
+            }
             SparsityChoice::Ann {
                 k,
                 bands,
@@ -309,23 +283,10 @@ impl AlignerConfig {
                     }
                     _ => Vec::new(),
                 };
-                return cualign_sparsify::build_alignment_graph_ann(ya, yb, &ann, &wl_pairs);
+                cualign_sparsify::build_alignment_graph_ann(ya, yb, &ann, &wl_pairs)
             }
-        };
-        cualign_sparsify::build_with(ya, yb, &rule)
+        }
     }
-}
-
-/// Returns `cfg` with the embedding dimension of the active method
-/// replaced — the multilevel driver uses this to clamp the dimension to
-/// the coarsest graph's size.
-pub(crate) fn with_embedding_dim(mut cfg: AlignerConfig, dim: usize) -> AlignerConfig {
-    match &mut cfg.embedding {
-        EmbeddingMethod::Spectral(c) => c.dim = dim,
-        EmbeddingMethod::FastRp(c) => c.dim = dim,
-        EmbeddingMethod::NetMf(c) => c.dim = dim,
-    }
-    cfg
 }
 
 /// Validating builder for [`AlignerConfig`]. Setters are chainable;
@@ -338,29 +299,21 @@ pub struct AlignerConfigBuilder {
 }
 
 impl AlignerConfigBuilder {
-    /// Replaces the embedding method wholesale.
-    pub fn embedding(mut self, embedding: EmbeddingMethod) -> Self {
+    /// Replaces the spectral-embedding parameters wholesale.
+    pub fn embedding(mut self, embedding: SpectralConfig) -> Self {
         self.cfg.embedding = embedding;
         self
     }
 
-    /// Sets the embedding dimension of the current method.
+    /// Sets the embedding dimension.
     pub fn embedding_dim(mut self, dim: usize) -> Self {
-        match &mut self.cfg.embedding {
-            EmbeddingMethod::Spectral(c) => c.dim = dim,
-            EmbeddingMethod::FastRp(c) => c.dim = dim,
-            EmbeddingMethod::NetMf(c) => c.dim = dim,
-        }
+        self.cfg.embedding.dim = dim;
         self
     }
 
-    /// Sets the RNG seed of the current embedding method.
+    /// Sets the embedding's RNG seed (graph B's is offset from it).
     pub fn embedding_seed(mut self, seed: u64) -> Self {
-        match &mut self.cfg.embedding {
-            EmbeddingMethod::Spectral(c) => c.seed = seed,
-            EmbeddingMethod::FastRp(c) => c.seed = seed,
-            EmbeddingMethod::NetMf(c) => c.seed = seed,
-        }
+        self.cfg.embedding.seed = seed;
         self
     }
 
@@ -437,15 +390,6 @@ impl AlignerConfigBuilder {
             bands,
             bits,
             probes,
-        };
-        self
-    }
-
-    /// Sparsifies by similarity threshold with a per-vertex cap.
-    pub fn threshold(mut self, min_weight: f64, cap_per_vertex: usize) -> Self {
-        self.cfg.sparsity = SparsityChoice::Threshold {
-            min_weight,
-            cap_per_vertex,
         };
         self
     }
@@ -531,14 +475,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(m.resolve_k(100, 100), 9);
-        let t = AlignerConfig {
-            sparsity: SparsityChoice::Threshold {
-                min_weight: 0.9,
-                cap_per_vertex: 12,
-            },
-            ..Default::default()
-        };
-        assert_eq!(t.resolve_k(100, 100), 12);
     }
 
     #[test]
@@ -555,7 +491,7 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.sparsity, SparsityChoice::Density(0.025));
         assert_eq!(cfg.bp.max_iters, 25);
-        assert_eq!(cfg.embedding.dim(), 32);
+        assert_eq!(cfg.embedding.dim, 32);
         assert_eq!(cfg.subspace.anchors, 256);
         assert_eq!(cfg.subspace.iterations, 6);
         assert_eq!(cfg.subspace.sinkhorn.epsilon, 0.04);
@@ -618,8 +554,6 @@ mod tests {
         assert!(AlignerConfig::builder().ann(10, 0, 12, 2).build().is_err());
         assert!(AlignerConfig::builder().ann(10, 8, 33, 2).build().is_err());
         assert!(AlignerConfig::builder().ann(10, 8, 12, 13).build().is_err());
-        assert!(AlignerConfig::builder().threshold(0.5, 0).build().is_err());
-        assert!(AlignerConfig::builder().threshold(1.5, 8).build().is_err());
         assert!(AlignerConfig::builder().embedding_dim(0).build().is_err());
         assert!(AlignerConfig::builder()
             .objective(-1.0, 2.0)
@@ -709,19 +643,10 @@ mod tests {
         }
         .build_l(&ya, &yb);
         assert!(mutual.num_edges() <= union.num_edges());
-        let thresh = AlignerConfig {
-            sparsity: SparsityChoice::Threshold {
-                min_weight: 0.999,
-                cap_per_vertex: 4,
-            },
-            ..Default::default()
-        }
-        .build_l(&ya, &yb);
         // Identical embeddings: the diagonal (w = 1) must survive any rule.
         for i in 0..30u32 {
             assert!(union.edge_id(i, i).is_some());
             assert!(mutual.edge_id(i, i).is_some());
-            assert!(thresh.edge_id(i, i).is_some());
         }
     }
 

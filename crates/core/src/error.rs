@@ -43,8 +43,8 @@ pub enum AlignError {
         vertices: usize,
     },
     /// Sparsification produced a candidate graph `L` with zero edges
-    /// (e.g. a similarity threshold no candidate pair clears), so there
-    /// is nothing for belief propagation or matching to work on.
+    /// (e.g. an approximate rule whose LSH buckets pair no rows), so
+    /// there is nothing for belief propagation or matching to work on.
     EmptySparsification,
     /// A configuration field is out of its valid range. Produced by
     /// [`crate::AlignerConfig::validate`] and the builder's `build()`.
@@ -115,7 +115,7 @@ impl fmt::Display for AlignError {
             AlignError::EmptySparsification => write!(
                 f,
                 "sparsification produced an alignment graph with zero edges; relax the \
-                 sparsity rule (higher density / k, or a lower similarity threshold)"
+                 sparsity rule (higher density / k, or more ANN bands / probes)"
             ),
             AlignError::InvalidConfig { field, reason } => {
                 write!(f, "invalid config: {field}: {reason}")

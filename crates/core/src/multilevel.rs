@@ -174,8 +174,7 @@ pub fn align_multilevel_with_registry(
     let (ca, cb) = (ga_at(depth), gb_at(depth));
     let min_n = ca.num_vertices().min(cb.num_vertices());
     let mut coarse_cfg = flat_cfg;
-    let capped_dim = coarse_cfg.embedding.dim().min((min_n / 2).max(1));
-    coarse_cfg = crate::config::with_embedding_dim(coarse_cfg, capped_dim);
+    coarse_cfg.embedding.dim = coarse_cfg.embedding.dim.min((min_n / 2).max(1));
     if coarse_cfg.subspace.anchors >= min_n {
         coarse_cfg.subspace.anchors = 0; // 0 = use every vertex
     }

@@ -162,13 +162,13 @@ mod tests {
     use cualign_rt::Rng;
 
     fn small_cfg() -> AlignerConfig {
-        use cualign_embed::{EmbeddingMethod, SpectralConfig};
+        use cualign_embed::SpectralConfig;
         let mut cfg = AlignerConfig {
-            embedding: EmbeddingMethod::Spectral(SpectralConfig {
+            embedding: SpectralConfig {
                 dim: 24,
                 oversample: 12,
                 ..Default::default()
-            }),
+            },
             sparsity: SparsityChoice::K(6),
             ..AlignerConfig::default()
         };

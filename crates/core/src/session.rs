@@ -35,7 +35,9 @@ use crate::error::{AlignError, GraphSide};
 use crate::pipeline::{AlignmentResult, StageTimings};
 use crate::scoring::{score_alignment, AlignmentScores};
 use cualign_bp::{BpConfig, BpEngine, BpOutcome, DampingSchedule, MatcherKind};
-use cualign_embed::{align_subspaces, EmbeddingMethod, SubspaceAlignConfig, SubspaceAlignment};
+use cualign_embed::{
+    align_subspaces, spectral_embedding, SpectralConfig, SubspaceAlignConfig, SubspaceAlignment,
+};
 use cualign_graph::{BipartiteGraph, CsrGraph, VertexId};
 use cualign_linalg::DenseMatrix;
 use cualign_overlap::OverlapMatrix;
@@ -117,37 +119,15 @@ pub fn graph_pair_fingerprint(a: &CsrGraph, b: &CsrGraph) -> u64 {
     h.finish()
 }
 
-fn embedding_fingerprint(m: &EmbeddingMethod) -> u64 {
-    match m {
-        EmbeddingMethod::Spectral(c) => {
-            let mut h = Fnv::new(1);
-            h.usize(c.dim);
-            h.usize(c.iters);
-            h.usize(c.oversample);
-            h.u64(c.seed);
-            h.f64(c.eigenvalue_power);
-            h.bool(c.normalize);
-            h.finish()
-        }
-        EmbeddingMethod::FastRp(c) => {
-            let mut h = Fnv::new(2);
-            h.usize(c.dim);
-            h.usize(c.hops);
-            h.f64(c.decay);
-            h.u64(c.seed);
-            h.bool(c.normalize);
-            h.finish()
-        }
-        EmbeddingMethod::NetMf(c) => {
-            let mut h = Fnv::new(3);
-            h.usize(c.dim);
-            h.usize(c.window);
-            h.f64(c.negative);
-            h.u64(c.seed);
-            h.bool(c.normalize);
-            h.finish()
-        }
-    }
+fn embedding_fingerprint(c: &SpectralConfig) -> u64 {
+    let mut h = Fnv::new(1);
+    h.usize(c.dim);
+    h.usize(c.iters);
+    h.usize(c.oversample);
+    h.u64(c.seed);
+    h.f64(c.eigenvalue_power);
+    h.bool(c.normalize);
+    h.finish()
 }
 
 fn subspace_fingerprint(upstream: u64, c: &SubspaceAlignConfig) -> u64 {
@@ -177,14 +157,6 @@ fn sparsity_fingerprint(upstream: u64, s: &SparsityChoice) -> u64 {
         SparsityChoice::MutualK(k) => {
             h.u64(3);
             h.usize(k);
-        }
-        SparsityChoice::Threshold {
-            min_weight,
-            cap_per_vertex,
-        } => {
-            h.u64(4);
-            h.f64(min_weight);
-            h.usize(cap_per_vertex);
         }
         SparsityChoice::Ann {
             k,
@@ -475,13 +447,13 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
             return Err(AlignError::EmptyGraph { side: GraphSide::B });
         }
         let smaller = a.num_vertices().min(b.num_vertices());
-        // min_vertices, not dim: the spectral method also needs room for
-        // its oversampling block, and its kernel asserts that bound — it
-        // must surface here as a typed error, never as a worker panic on
-        // a small network-supplied graph.
-        if cfg.embedding.dim() > smaller || cfg.embedding.min_vertices() > smaller {
+        // dim plus the oversampling block, not dim alone: the spectral
+        // kernel asserts that bound — it must surface here as a typed
+        // error, never as a worker panic on a small network-supplied graph.
+        let block = cfg.embedding.dim.saturating_add(cfg.embedding.oversample);
+        if block > smaller {
             return Err(AlignError::DimExceedsVertices {
-                dim: cfg.embedding.dim(),
+                dim: cfg.embedding.dim,
                 vertices: smaller,
             });
         }
@@ -578,19 +550,21 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
             // same serial-order code and gives the same bits at any
             // thread count. Each side enters the caller's span path, so
             // both `embed.spectral` spans nest under `session.embed`.
-            let sides = [
-                (self.cfg.embedding, self.a.borrow()),
-                (
-                    self.cfg.embedding.with_seed_offset(B_SIDE_SEED_OFFSET),
-                    self.b.borrow(),
-                ),
-            ];
+            let cfg_a = self.cfg.embedding;
+            let cfg_b = SpectralConfig {
+                seed: cfg_a.seed.wrapping_add(B_SIDE_SEED_OFFSET),
+                ..cfg_a
+            };
+            let sides = [(cfg_a, self.a.borrow()), (cfg_b, self.b.borrow())];
             let ctx = SpanContext::current();
             let mut ys = [DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0)];
             par::map(&mut ys, 1, |i| {
                 let _ctx = ctx.enter();
-                let (method, g) = &sides[i];
-                method.embed(g)
+                let (cfg, g) = &sides[i];
+                let reg = cualign_telemetry::global();
+                reg.counter("embed.builds").inc();
+                let _span = reg.span("embed.spectral");
+                spectral_embedding(g, cfg)
             });
             let [y1, y2] = ys;
             Embeddings { y1, y2 }
@@ -799,18 +773,17 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cualign_embed::SpectralConfig;
     use cualign_graph::generators::erdos_renyi_gnm;
     use cualign_graph::permutation::AlignmentInstance;
     use cualign_rt::Rng;
 
     fn small_cfg() -> AlignerConfig {
         let mut cfg = AlignerConfig {
-            embedding: EmbeddingMethod::Spectral(SpectralConfig {
+            embedding: SpectralConfig {
                 dim: 16,
                 oversample: 8,
                 ..Default::default()
-            }),
+            },
             sparsity: SparsityChoice::K(5),
             ..AlignerConfig::default()
         };
@@ -824,9 +797,7 @@ mod tests {
         let base = small_cfg();
         let base_fp = embedding_fingerprint(&base.embedding);
         let mut seeded = base.clone();
-        if let EmbeddingMethod::Spectral(c) = &mut seeded.embedding {
-            c.seed += 1;
-        }
+        seeded.embedding.seed += 1;
         assert_ne!(base_fp, embedding_fingerprint(&seeded.embedding));
 
         let sp = sparsity_fingerprint(7, &SparsityChoice::K(5));

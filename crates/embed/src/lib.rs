@@ -5,13 +5,9 @@
 //! within a graph embed close together, and (b) after a learned orthogonal
 //! rotation, corresponding vertices *across* graphs embed close together.
 //!
-//! Two proximity embedders are provided:
-//!
-//! * [`proximity::fastrp_embedding`] — iterated-propagation random
-//!   projection (FastRP family). `O(T · nnz · d)` time, scales to every
-//!   input in the paper's Table 1. This is the default.
-//! * [`netmf::netmf_embedding`] — the exact NetMF-window factorization used
-//!   by cone-align, for small graphs (dense `n × n` intermediate).
+//! The embedder is [`spectral::spectral_embedding`]: the dominant
+//! eigenspace of the normalized adjacency, which embeds isomorphic graphs
+//! identically up to the orthogonal transform that Eq. (2) resolves.
 //!
 //! Cross-graph alignment of the two embeddings — Eq. (2) of the paper,
 //! `min_Q min_P ‖Y₁Q − PY₂‖²` — is solved in [`subspace`] by alternating
@@ -27,93 +23,12 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod netmf;
-pub mod proximity;
 pub mod spectral;
 pub mod subspace;
 
-pub use proximity::{fastrp_embedding, FastRpConfig};
 pub use spectral::{spectral_embedding, SpectralConfig};
 pub use subspace::{
     align_subspaces, align_subspaces_reference, pairwise_cost, pairwise_cost_reference,
     structural_features, structural_features_for, SubspaceAlignConfig, SubspaceAlignment,
     SubspaceError,
 };
-
-use cualign_graph::CsrGraph;
-use cualign_linalg::DenseMatrix;
-
-/// Which proximity embedder to run — the framework treats this as a
-/// pluggable component ("one can easily switch the node embedding", §6.3).
-#[derive(Clone, Copy, Debug)]
-pub enum EmbeddingMethod {
-    /// Dominant-eigenspace embedding of `D^{-1/2}AD^{-1/2}` — the default
-    /// for cross-graph alignment: isomorphic graphs embed identically up
-    /// to the orthogonal transform that Eq. (2) resolves.
-    Spectral(SpectralConfig),
-    /// Iterated random projection — fast, but its random basis is not
-    /// shared across graphs, so cross-graph use relies entirely on the
-    /// anchor-initialized subspace alignment. Kept for within-graph use
-    /// and ablations.
-    FastRp(FastRpConfig),
-    /// Exact NetMF-window factorization (dense `n²` intermediate; small
-    /// graphs only) — the embedder cone-align itself uses.
-    NetMf(netmf::NetMfConfig),
-}
-
-impl Default for EmbeddingMethod {
-    fn default() -> Self {
-        EmbeddingMethod::Spectral(SpectralConfig::default())
-    }
-}
-
-impl EmbeddingMethod {
-    /// Runs the selected embedder.
-    pub fn embed(&self, g: &CsrGraph) -> DenseMatrix {
-        let reg = cualign_telemetry::global();
-        reg.counter("embed.builds").inc();
-        let _span = reg.span(match self {
-            EmbeddingMethod::Spectral(_) => "embed.spectral",
-            EmbeddingMethod::FastRp(_) => "embed.fastrp",
-            EmbeddingMethod::NetMf(_) => "embed.netmf",
-        });
-        match self {
-            EmbeddingMethod::Spectral(cfg) => spectral_embedding(g, cfg),
-            EmbeddingMethod::FastRp(cfg) => fastrp_embedding(g, cfg),
-            EmbeddingMethod::NetMf(cfg) => netmf::netmf_embedding(g, cfg),
-        }
-    }
-
-    /// The embedding dimension this method will produce.
-    pub fn dim(&self) -> usize {
-        match self {
-            EmbeddingMethod::Spectral(cfg) => cfg.dim,
-            EmbeddingMethod::FastRp(cfg) => cfg.dim,
-            EmbeddingMethod::NetMf(cfg) => cfg.dim,
-        }
-    }
-
-    /// Smallest vertex count a graph must have for this method to run.
-    /// The embedding subspace cannot exceed the space: `dim` for every
-    /// method, plus the randomized-eigensolver oversampling block for
-    /// the spectral method (whose kernel asserts exactly this bound).
-    pub fn min_vertices(&self) -> usize {
-        match self {
-            EmbeddingMethod::Spectral(cfg) => cfg.dim + cfg.oversample,
-            EmbeddingMethod::FastRp(cfg) => cfg.dim,
-            EmbeddingMethod::NetMf(cfg) => cfg.dim,
-        }
-    }
-
-    /// A copy with the RNG seed offset — used to give the two input graphs
-    /// independent randomness where the method tolerates it.
-    pub fn with_seed_offset(&self, offset: u64) -> Self {
-        let mut m = *self;
-        match &mut m {
-            EmbeddingMethod::Spectral(cfg) => cfg.seed = cfg.seed.wrapping_add(offset),
-            EmbeddingMethod::FastRp(cfg) => cfg.seed = cfg.seed.wrapping_add(offset),
-            EmbeddingMethod::NetMf(cfg) => cfg.seed = cfg.seed.wrapping_add(offset),
-        }
-        m
-    }
-}

@@ -1,4 +1,4 @@
-//! Spectral proximity embedding — the pipeline's default embedder.
+//! Spectral proximity embedding — the pipeline's embedder.
 //!
 //! Computes the dominant `d`-dimensional eigenspace of the symmetric
 //! normalized adjacency `S = D^{-1/2} A D^{-1/2}` by block power iteration
@@ -12,7 +12,7 @@
 //! precisely the ambiguity the subspace-alignment stage (Eq. 2) is built
 //! to resolve. A random-projection embedder (FastRP) lacks this property:
 //! two independent projections of even the *same* graph are not related by
-//! any `d × d` orthogonal map, so it is kept for within-graph use only.
+//! any `d × d` orthogonal map.
 
 use cualign_graph::{CsrGraph, VertexId};
 use cualign_linalg::eig::symmetric_eigen;
@@ -135,9 +135,30 @@ pub fn spectral_embedding(g: &CsrGraph, cfg: &SpectralConfig) -> DenseMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proximity::neighborhood_coherence;
     use cualign_graph::generators::{barabasi_albert, watts_strogatz};
     use cualign_graph::Permutation;
+
+    /// Mean cosine similarity between embedding rows of adjacent vertex
+    /// pairs minus that of random pairs — positive and large when the
+    /// embedding is proximity-preserving.
+    fn neighborhood_coherence(g: &CsrGraph, y: &DenseMatrix, samples: usize, seed: u64) -> f64 {
+        let n = g.num_vertices();
+        if n < 2 || g.num_edges() == 0 {
+            return 0.0;
+        }
+        let mut rng = Rng::new(seed);
+        let edges = g.edge_list();
+        let mut adj_sim = 0.0;
+        let mut rnd_sim = 0.0;
+        for _ in 0..samples {
+            let &(u, v) = &edges[rng.below(edges.len())];
+            adj_sim += vecops::cosine_similarity(y.row(u as usize), y.row(v as usize));
+            let a = rng.below(n);
+            let b = rng.below(n);
+            rnd_sim += vecops::cosine_similarity(y.row(a), y.row(b));
+        }
+        (adj_sim - rnd_sim) / samples as f64
+    }
 
     #[test]
     fn shape_and_determinism() {
@@ -169,7 +190,7 @@ mod tests {
         assert!(c > 0.2, "coherence only {c}");
     }
 
-    /// The property FastRP lacks and alignment needs: embeddings of
+    /// The property random projections lack and alignment needs: embeddings of
     /// isomorphic graphs agree up to an orthogonal transform. We verify it
     /// via the Gram matrices, which are rotation-invariant:
     /// `Y_A Y_Aᵀ ≈ Pᵀ (Y_B Y_Bᵀ) P` entrywise.

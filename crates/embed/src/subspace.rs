@@ -673,7 +673,7 @@ fn align_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proximity::{fastrp_embedding, FastRpConfig};
+    use crate::spectral::{spectral_embedding, SpectralConfig};
     use cualign_graph::generators::{barabasi_albert, erdos_renyi_gnm};
     use cualign_graph::Permutation;
     use cualign_linalg::qr::orthonormalize;
@@ -688,9 +688,9 @@ mod tests {
         let p = Permutation::random(150, &mut rng);
         let gb = p.apply_to_graph(&ga);
 
-        let y1 = fastrp_embedding(
+        let y1 = spectral_embedding(
             &ga,
-            &FastRpConfig {
+            &SpectralConfig {
                 dim: 16,
                 ..Default::default()
             },
@@ -725,16 +725,16 @@ mod tests {
         let mut rng = Rng::new(2);
         let ga = barabasi_albert(80, 3, &mut rng);
         let gb = barabasi_albert(80, 3, &mut rng);
-        let y1 = fastrp_embedding(
+        let y1 = spectral_embedding(
             &ga,
-            &FastRpConfig {
+            &SpectralConfig {
                 dim: 8,
                 ..Default::default()
             },
         );
-        let y2 = fastrp_embedding(
+        let y2 = spectral_embedding(
             &gb,
-            &FastRpConfig {
+            &SpectralConfig {
                 dim: 8,
                 seed: 99,
                 ..Default::default()
@@ -775,9 +775,9 @@ mod tests {
         let ga = barabasi_albert(120, 3, &mut rng);
         let p = Permutation::random(120, &mut rng);
         let gb = p.apply_to_graph(&ga);
-        let y1 = fastrp_embedding(
+        let y1 = spectral_embedding(
             &ga,
-            &FastRpConfig {
+            &SpectralConfig {
                 dim: 12,
                 ..Default::default()
             },
@@ -928,9 +928,9 @@ mod tests {
         let ga = barabasi_albert(60, 3, &mut rng);
         let p = Permutation::random(60, &mut rng);
         let gb = p.apply_to_graph(&ga);
-        let y1 = fastrp_embedding(
+        let y1 = spectral_embedding(
             &ga,
-            &FastRpConfig {
+            &SpectralConfig {
                 dim: 8,
                 ..Default::default()
             },

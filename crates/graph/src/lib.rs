@@ -26,8 +26,6 @@
 //! * [`noise`] — edge perturbation for robustness experiments.
 //! * [`binning`] — degree-based binning of vertices/work-items, the load
 //!   balancing strategy of the paper's §5 (shared with the GPU simulator).
-//! * [`graphlets`] — graphlet degree vectors (GRAAL-style structural
-//!   signatures) via exact ESU enumeration.
 //! * [`io`] — plain edge-list serialization.
 //!
 //! In the pipeline (paper Fig. 2) this crate is the substrate layer: it
@@ -43,7 +41,6 @@ pub mod bipartite;
 pub mod coarsen;
 pub mod csr;
 pub mod generators;
-pub mod graphlets;
 pub mod io;
 pub mod noise;
 pub mod permutation;

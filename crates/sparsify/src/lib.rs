@@ -44,14 +44,13 @@
 
 pub mod ann;
 pub mod knn;
-pub mod variants;
 
 pub use ann::{ann_candidates, ann_recall, build_alignment_graph_ann, AnnConfig};
 pub use knn::{knn_candidates, knn_candidates_reference, KnnDirection};
-pub use variants::{build_with, Sparsifier};
 
-use cualign_graph::BipartiteGraph;
+use cualign_graph::{BipartiteGraph, VertexId};
 use cualign_linalg::DenseMatrix;
+use std::collections::HashSet;
 
 /// Converts the paper's density percentage (fraction of the complete
 /// bipartite graph, in `(0, 1]`) into the per-vertex neighbor count `k`.
@@ -78,6 +77,31 @@ pub fn build_alignment_graph(ya: &DenseMatrix, yb: &DenseMatrix, k: usize) -> Bi
     // Duplicate (a, b) pairs carry identical weights; the constructor
     // collapses them.
     BipartiteGraph::from_weighted_edges(ya.rows(), yb.rows(), &triples)
+}
+
+/// Builds `L` from the *mutual* `k` nearest neighbors: an edge survives
+/// only if both endpoints rank it among their `k` nearest. A subset of
+/// [`build_alignment_graph`]'s union with the same weights — fewer,
+/// higher-precision candidates for noisy inputs where hubs attract
+/// one-sided false candidates.
+///
+/// # Panics
+/// Panics if the embeddings disagree in dimension or `k == 0`.
+pub fn build_alignment_graph_mutual(
+    ya: &DenseMatrix,
+    yb: &DenseMatrix,
+    k: usize,
+) -> BipartiteGraph {
+    assert!(k > 0, "k must be positive");
+    assert_eq!(ya.cols(), yb.cols(), "embedding dimension mismatch");
+    let ab = knn_candidates(ya, yb, k, KnnDirection::AtoB);
+    let ba = knn_candidates(ya, yb, k, KnnDirection::BtoA);
+    let ba_set: HashSet<(VertexId, VertexId)> = ba.iter().map(|&(a, b, _)| (a, b)).collect();
+    let mutual: Vec<(VertexId, VertexId, f64)> = ab
+        .into_iter()
+        .filter(|&(a, b, _)| ba_set.contains(&(a, b)))
+        .collect();
+    BipartiteGraph::from_weighted_edges(ya.rows(), yb.rows(), &mutual)
 }
 
 /// Builds `L` at a target density of the complete bipartite graph
@@ -174,6 +198,30 @@ mod tests {
             for (_, e) in l.incident_a(a) {
                 assert!(l.weights()[e as usize] <= true_w + 1e-12);
             }
+        }
+    }
+
+    #[test]
+    fn mutual_is_subset_of_union() {
+        let (ya, yb) = planted_embeddings(60, 12, 0.4, 1);
+        let union = build_alignment_graph(&ya, &yb, 4);
+        let mutual = build_alignment_graph_mutual(&ya, &yb, 4);
+        assert!(mutual.num_edges() <= union.num_edges());
+        for le in mutual.edges() {
+            assert!(
+                union.edge_id(le.a, le.b).is_some(),
+                "mutual edge missing from union"
+            );
+        }
+        mutual.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mutual_keeps_planted_pairs_with_low_noise() {
+        let (ya, yb) = planted_embeddings(50, 16, 0.02, 2);
+        let mutual = build_alignment_graph_mutual(&ya, &yb, 3);
+        for i in 0..50 {
+            assert!(mutual.edge_id(i, i).is_some(), "pair ({i},{i}) dropped");
         }
     }
 

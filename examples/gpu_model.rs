@@ -10,7 +10,7 @@
 
 use cualign::{Aligner, AlignerConfig, SparsityChoice};
 use cualign_bp::BpConfig;
-use cualign_embed::align_subspaces;
+use cualign_embed::{align_subspaces, spectral_embedding, SpectralConfig};
 use cualign_gpusim::bp_gpu::model_bp_iteration;
 use cualign_gpusim::report::table2_row;
 use cualign_gpusim::{DeviceSpec, ExecConfig};
@@ -30,8 +30,12 @@ fn main() {
         sparsity: SparsityChoice::Density(0.01),
         ..Default::default()
     };
-    let y1 = cfg.embedding.embed(&inst.a);
-    let y2 = cfg.embedding.with_seed_offset(1).embed(&inst.b);
+    let y1 = spectral_embedding(&inst.a, &cfg.embedding);
+    let cfg_b = SpectralConfig {
+        seed: cfg.embedding.seed.wrapping_add(1),
+        ..cfg.embedding
+    };
+    let y2 = spectral_embedding(&inst.b, &cfg_b);
     let sub = align_subspaces(&y1, &y2, &inst.a, &inst.b, &cfg.subspace)
         .expect("pipeline-produced embeddings always match their graphs");
     let k = cfg.resolve_k(inst.a.num_vertices(), inst.b.num_vertices());

@@ -4,7 +4,7 @@
 
 use cualign::{AlignerConfig, SparsityChoice};
 use cualign_bp::{evaluate_matching, BpConfig, BpEngine};
-use cualign_embed::align_subspaces;
+use cualign_embed::{align_subspaces, spectral_embedding, SpectralConfig};
 use cualign_graph::generators::{duplication_divergence, erdos_renyi_gnm};
 use cualign_graph::permutation::AlignmentInstance;
 use cualign_graph::{BipartiteGraph, CsrGraph, VertexId};
@@ -30,8 +30,12 @@ fn front_half(
         sparsity: SparsityChoice::K(k),
         ..Default::default()
     };
-    let y1 = cfg.embedding.embed(&inst.a);
-    let y2 = cfg.embedding.with_seed_offset(1).embed(&inst.b);
+    let y1 = spectral_embedding(&inst.a, &cfg.embedding);
+    let cfg_b = SpectralConfig {
+        seed: cfg.embedding.seed.wrapping_add(1),
+        ..cfg.embedding
+    };
+    let y2 = spectral_embedding(&inst.b, &cfg_b);
     let sub = align_subspaces(&y1, &y2, &inst.a, &inst.b, &cfg.subspace).expect("valid inputs");
     let l = build_alignment_graph(&sub.ya, &sub.yb, k);
     (inst.a.clone(), inst.b.clone(), l, inst)
@@ -140,8 +144,12 @@ fn sparsification_monotonicity() {
     let a = erdos_renyi_gnm(120, 360, &mut rng);
     let inst = AlignmentInstance::permuted_pair(a, &mut rng);
     let cfg = AlignerConfig::default();
-    let y1 = cfg.embedding.embed(&inst.a);
-    let y2 = cfg.embedding.with_seed_offset(1).embed(&inst.b);
+    let y1 = spectral_embedding(&inst.a, &cfg.embedding);
+    let cfg_b = SpectralConfig {
+        seed: cfg.embedding.seed.wrapping_add(1),
+        ..cfg.embedding
+    };
+    let y2 = spectral_embedding(&inst.b, &cfg_b);
     let sub = align_subspaces(&y1, &y2, &inst.a, &inst.b, &cfg.subspace).expect("valid inputs");
     let mut last_edges = 0;
     let mut last_survivors = 0;

@@ -5,7 +5,7 @@
 
 use cualign::{AlignerConfig, SparsityChoice};
 use cualign_bp::{BpConfig, BpEngine};
-use cualign_embed::align_subspaces;
+use cualign_embed::{align_subspaces, spectral_embedding, SpectralConfig};
 use cualign_gpusim::bp_gpu::{model_bp_iteration, simulate_bp};
 use cualign_gpusim::match_gpu::simulate_matching;
 use cualign_gpusim::report::table2_row;
@@ -26,8 +26,12 @@ fn pipeline_structures(n: usize, seed: u64, k: usize) -> (BipartiteGraph, Overla
         sparsity: SparsityChoice::K(k),
         ..Default::default()
     };
-    let y1 = cfg.embedding.embed(&inst.a);
-    let y2 = cfg.embedding.with_seed_offset(1).embed(&inst.b);
+    let y1 = spectral_embedding(&inst.a, &cfg.embedding);
+    let cfg_b = SpectralConfig {
+        seed: cfg.embedding.seed.wrapping_add(1),
+        ..cfg.embedding
+    };
+    let y2 = spectral_embedding(&inst.b, &cfg_b);
     let sub = align_subspaces(&y1, &y2, &inst.a, &inst.b, &cfg.subspace).expect("valid inputs");
     let l = build_alignment_graph(&sub.ya, &sub.yb, k);
     let s = OverlapMatrix::build(&inst.a, &inst.b, &l);

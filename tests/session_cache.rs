@@ -6,7 +6,7 @@ use cualign::{
     cone_align_session, AlignError, Aligner, AlignerConfig, AlignmentSession, GraphSide,
     SparsityChoice,
 };
-use cualign_embed::{EmbeddingMethod, SpectralConfig};
+use cualign_embed::SpectralConfig;
 use cualign_graph::generators::{duplication_divergence, erdos_renyi_gnm};
 use cualign_graph::permutation::AlignmentInstance;
 use cualign_graph::CsrGraph;
@@ -14,11 +14,11 @@ use cualign_rt::Rng;
 
 fn test_cfg() -> AlignerConfig {
     let mut cfg = AlignerConfig {
-        embedding: EmbeddingMethod::Spectral(SpectralConfig {
+        embedding: SpectralConfig {
             dim: 20,
             oversample: 10,
             ..Default::default()
-        }),
+        },
         sparsity: SparsityChoice::K(6),
         ..AlignerConfig::default()
     };
@@ -86,9 +86,7 @@ fn changing_embedding_seed_invalidates_everything() {
     s.align().unwrap();
 
     s.update_config(|c| {
-        if let EmbeddingMethod::Spectral(sc) = &mut c.embedding {
-            sc.seed = sc.seed.wrapping_add(1);
-        }
+        c.embedding.seed = c.embedding.seed.wrapping_add(1);
     })
     .unwrap();
     let r = s.align().unwrap();
@@ -206,22 +204,21 @@ fn degenerate_inputs_and_configs_error() {
         })
     ));
 
-    // A threshold no pair clears yields EmptySparsification at stage 3
-    // (two independent graphs, so no exact-1.0 similarity is expected).
+    // One 32-bit LSH band without probes pairs two rows only on an exact
+    // signature match. On two independent graphs no row pair matches and
+    // no WL label agrees, so stage 3 yields EmptySparsification.
     let h = erdos_renyi_gnm(40, 100, &mut rng);
     let mut strict = test_cfg();
-    strict.sparsity = SparsityChoice::Threshold {
-        min_weight: 1.0,
-        cap_per_vertex: 4,
+    strict.sparsity = SparsityChoice::Ann {
+        k: 4,
+        bands: 1,
+        bits: 32,
+        probes: 0,
     };
     let mut s2 = AlignmentSession::new(&g, &h, strict).unwrap();
     match s2.align() {
         Err(AlignError::EmptySparsification) => {}
-        Ok(r) => {
-            // Numerically possible for a few exact hits to survive; the
-            // contract is only "no panic, and if empty then typed error".
-            assert!(r.l_edges > 0);
-        }
+        Ok(r) => panic!("expected EmptySparsification, got {} L edges", r.l_edges),
         Err(other) => panic!("unexpected error {other:?}"),
     }
 

@@ -11,7 +11,7 @@
 //! counts.
 
 use cualign::{AlignerConfig, AlignmentSession, SparsityChoice, StageTimings};
-use cualign_embed::{EmbeddingMethod, SpectralConfig};
+use cualign_embed::SpectralConfig;
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::permutation::AlignmentInstance;
 use cualign_rt::{par, Rng};
@@ -19,11 +19,11 @@ use cualign_telemetry::Registry;
 
 fn test_cfg() -> AlignerConfig {
     let mut cfg = AlignerConfig {
-        embedding: EmbeddingMethod::Spectral(SpectralConfig {
+        embedding: SpectralConfig {
             dim: 20,
             oversample: 10,
             ..Default::default()
-        }),
+        },
         sparsity: SparsityChoice::K(6),
         ..AlignerConfig::default()
     };
@@ -93,9 +93,7 @@ fn invalidation_matrix_is_visible_per_stage() {
 
     // Embedding seed change: the whole chain misses.
     s.update_config(|c| {
-        if let EmbeddingMethod::Spectral(sc) = &mut c.embedding {
-            sc.seed = sc.seed.wrapping_add(1);
-        }
+        c.embedding.seed = c.embedding.seed.wrapping_add(1);
     })
     .unwrap();
     s.align().unwrap();
