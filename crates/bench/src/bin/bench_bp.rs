@@ -22,7 +22,8 @@
 //! same reference CSR and state hash, so the scaling columns
 //! (`sweep_s_<t>t`, `build_s_<t>t`) carry the bitwise check too. The
 //! headline `sweep_s`/`build_s` are the host-thread-count run;
-//! `host_cores` and `threads` record the host.
+//! `host_cores` and `threads` record the host, and `peak_rss_mb` the
+//! process's peak resident set so far (`VmHWM`; `null` off Linux).
 //!
 //! The matcher column rounds the reference engine's own `yᶜ` and `zᶜ`
 //! after its timed sweeps — BP's real rounding inputs — once with each
@@ -33,7 +34,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use cualign_bench::json::JsonRecord;
+use cualign_bench::{json::JsonRecord, peak_rss_mb};
 use cualign_bp::{evaluate_matching, BpConfig, BpEngine};
 use cualign_graph::{BipartiteGraph, CsrGraph, Permutation, VertexId};
 use cualign_matching::{
@@ -75,23 +76,18 @@ fn planted(n: usize, seed: u64) -> (CsrGraph, CsrGraph, BipartiteGraph) {
     (a, b, l)
 }
 
-/// FNV-1a over the raw bits of every message array: two engines whose
-/// hashes agree (and whose array lengths agree) carry bitwise-identical
-/// state without holding a second copy of it.
-fn state_hash(e: &BpEngine) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: &[f64]| {
-        for x in v {
-            h ^= x.to_bits();
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    eat(e.yc());
-    eat(e.zc());
-    eat(e.dc());
-    eat(e.f());
-    eat(e.sp());
-    h
+/// FNV-1a over the raw bits of every message array, with `st` standing
+/// for `Sᵖ` in the transposed orientation: two engines whose hashes
+/// agree (and whose array lengths agree) carry bitwise-identical state
+/// without holding a second copy of it.
+fn state_hash(e: &BpEngine, st: impl Iterator<Item = f64>) -> u64 {
+    let edge_state = [e.yc(), e.zc(), e.dc()].into_iter().flatten().copied();
+    edge_state
+        .chain(st)
+        .chain(e.sp().iter().copied())
+        .fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x1000_0000_01b3)
+        })
 }
 
 type Matcher = fn(&BipartiteGraph) -> Matching;
@@ -164,11 +160,14 @@ fn main() {
         let s_ref = OverlapMatrix::build_reference(&a, &b, &l);
         let build_reference_s = t.elapsed().as_secs_f64();
         let nnz = s_ref.nnz();
-        // Each engine runs two untimed warmup sweeps first: the message
-        // arrays are double-buffered (`f`/`f_next`, `sc`/`sp`), so one
-        // sweep touches only half of each pair and the second faults in
-        // the rest. The timed sweeps then measure steady state for every
-        // path; the hashes compare the same 2 + `sweeps` iterations.
+        // Each engine runs two untimed warmup sweeps first: `dᶜ` is
+        // double-buffered, so one sweep touches only half of the pair
+        // and the second faults in the rest (the reference also
+        // allocates its `F` and `Sᶜ` per sweep). The timed sweeps then
+        // measure steady state for every path; the hashes compare the
+        // same 2 + `sweeps` iterations. The reference engine leaves the
+        // transposed `Sᵖ` alone, so its hash gathers `Sᵖ` through the
+        // transpose permutation instead.
         let (ref_hash, sweep_reference_s, round_s, evaluate_s) = {
             let mut eng = BpEngine::new(&l, &s_ref, &cfg);
             eng.iterate_reference();
@@ -179,7 +178,14 @@ fn main() {
             }
             let sweep_reference_s = t.elapsed().as_secs_f64();
             let (round_s, evaluate_s) = round_all(&eng, &l, &s_ref, &cfg, n);
-            (state_hash(&eng), sweep_reference_s, round_s, evaluate_s)
+            let perm = s_ref.transpose_perm_reference();
+            assert_eq!(
+                s_ref.transpose_perm(),
+                perm,
+                "transpose permutation diverged at n = {n}"
+            );
+            let st = perm.iter().map(|&p| eng.sp()[p as usize]);
+            (state_hash(&eng, st), sweep_reference_s, round_s, evaluate_s)
         };
 
         // The merge-balanced paths at each thread count: the build is
@@ -202,11 +208,6 @@ fn main() {
                     s_ref.col_indices(),
                     "build columns diverged at n = {n}, {threads} threads"
                 );
-                assert_eq!(
-                    s.transpose_perm(),
-                    s_ref.transpose_perm(),
-                    "build transpose diverged at n = {n}, {threads} threads"
-                );
                 let mut eng = BpEngine::new(&l, &s, &cfg);
                 eng.iterate();
                 eng.iterate();
@@ -216,7 +217,7 @@ fn main() {
                 }
                 let sweep_s = t.elapsed().as_secs_f64();
                 assert_eq!(
-                    state_hash(&eng),
+                    state_hash(&eng, eng.sp_transposed().iter().copied()),
                     ref_hash,
                     "sparse-kernel sweep diverged bitwise from the reference at n = {n}, {threads} threads"
                 );
@@ -255,6 +256,7 @@ fn main() {
             .int("sweeps", sweeps)
             .int("host_cores", host)
             .int("threads", host)
+            .num("peak_rss_mb", peak_rss_mb().unwrap_or(f64::NAN))
             .num("sweep_s", sweep_s)
             .num("sweep_reference_s", sweep_reference_s)
             .num("speedup", speedup)

@@ -16,13 +16,15 @@
 //! `multilevel.level<k>.*` counters (band size, BP matches, repairs)
 //! harvested from the global registry. `host_cores` and `threads`
 //! record the host: both pipelines run on every available thread.
+//! `peak_rss_mb` is the process's peak resident set over both runs
+//! (`VmHWM`; `null` off Linux).
 //! `--telemetry summary|json:PATH` additionally emits the full span-tree
 //! snapshot.
 
 use std::time::Instant;
 
 use cualign::{Aligner, AlignerConfig};
-use cualign_bench::{env_u64, json::JsonRecord};
+use cualign_bench::{env_u64, json::JsonRecord, peak_rss_mb};
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::permutation::AlignmentInstance;
 use cualign_rt::{par, Rng};
@@ -98,6 +100,7 @@ fn main() {
         .int("bp_iters", bp_iters)
         .int("host_cores", par::threads())
         .int("threads", par::threads())
+        .num("peak_rss_mb", peak_rss_mb().unwrap_or(f64::NAN))
         .num("flat_s", flat_s)
         .num("multilevel_s", ml_s)
         .num("speedup", speedup)

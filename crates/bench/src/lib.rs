@@ -64,6 +64,21 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// Peak resident set size of this process in MiB, read from `VmHWM` in
+/// `/proc/self/status`; `None` where that file or field is absent
+/// (non-Linux hosts).
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 /// The harness-wide configuration resolved from the environment.
 #[derive(Clone, Copy, Debug)]
 pub struct HarnessConfig {
@@ -401,6 +416,13 @@ mod tests {
             "{\"figure\":\"fig4\",\"input\":\"Fly \\\"Y2H\\\"\",\"density\":0.025,\
              \"dnf\":null,\"cache_hits\":3,\"skipped\":null}"
         );
+    }
+
+    #[test]
+    fn peak_rss_is_positive_where_reported() {
+        if let Some(mb) = peak_rss_mb() {
+            assert!(mb > 0.0, "VmHWM read as {mb} MiB");
+        }
     }
 
     #[test]

@@ -21,10 +21,14 @@
 //! by storing all message matrices as flat arrays parallel to the CSR of
 //! [`cualign_overlap::OverlapMatrix`].
 //!
-//! The `F`+`dᶜ` update is the paper's **fused** Listing 1 (one pass over
-//! the nonzeros), and so is every other step: [`BpEngine::iterate`] has
-//! one code path, pinned bitwise to [`BpEngine::iterate_reference`].
-//! The unfused two-pass variant survives only as a cost in the GPU
+//! The paper's fused Listing 1 computes `F`+`dᶜ` in one pass that
+//! gathers `Sᵖ` through the transpose permutation. [`BpEngine`] goes
+//! one step further: it carries `Sᵖ` in both orientations, so the whole
+//! `S` side of a sweep — `F`, the `Sᶜ` update, both damps and the next
+//! sweep's `dᶜ` — is one sequential pass with no gather.
+//! [`BpEngine::iterate`] has one code path, pinned bitwise to
+//! [`BpEngine::iterate_reference`], which keeps Listing 1's gather. The
+//! unfused two-pass variant survives only as a cost in the GPU
 //! simulator's §5 ablation.
 //!
 //! **Place in the pipeline** (paper Fig. 2): the optimization loop —

@@ -9,7 +9,7 @@
 use cualign_bp::othermax::{
     othermax_cols, othermax_cols_reference, othermax_rows, othermax_rows_reference,
 };
-use cualign_bp::{evaluate_matching, BpConfig, BpEngine, SweepStats};
+use cualign_bp::{evaluate_matching, BpConfig, BpEngine, DampingSchedule, SweepStats};
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::{BipartiteGraph, CsrGraph, Permutation, VertexId};
 use cualign_matching::locally_dominant_parallel;
@@ -91,7 +91,8 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 /// Drive a fast engine and a reference engine in lockstep and demand
 /// bitwise-identical message state and [`SweepStats`] after every
-/// sweep. With `telemetry` on, each sweep must also record exactly its
+/// sweep; the fast engine's transposed `Sᵖ` must equal the reference's
+/// `Sᵖ` gathered through the transpose permutation. With `telemetry` on, each sweep must also record exactly its
 /// statistics — one `bp.residual` sample and its `bp.clamp_saturations`
 /// increment — so the two engines' recorded samples are equal; with it
 /// off, neither engine may record them.
@@ -109,6 +110,7 @@ fn assert_lockstep(
     let saturations = registry.counter("bp.clamp_saturations");
     let residuals = registry.histogram("bp.residual");
     let s = OverlapMatrix::build(a, b, l);
+    let perm = s.transpose_perm();
     let mut fast = BpEngine::new(l, &s, cfg);
     let mut slow = BpEngine::new(l, &s, cfg);
     // Runs one sweep, checks it recorded exactly the statistics it
@@ -175,8 +177,15 @@ fn assert_lockstep(
         assert_eq!(bits(fast.yc()), bits(slow.yc()), "yc diverged at iter {k}");
         assert_eq!(bits(fast.zc()), bits(slow.zc()), "zc diverged at iter {k}");
         assert_eq!(bits(fast.dc()), bits(slow.dc()), "dc diverged at iter {k}");
-        assert_eq!(bits(fast.f()), bits(slow.f()), "f diverged at iter {k}");
         assert_eq!(bits(fast.sp()), bits(slow.sp()), "sp diverged at iter {k}");
+        // The carried transpose is the reference's Sᵖ gathered through
+        // the transpose permutation (which feeds its next F).
+        let slow_st: Vec<f64> = perm.iter().map(|&p| slow.sp()[p as usize]).collect();
+        assert_eq!(
+            bits(fast.sp_transposed()),
+            bits(&slow_st),
+            "transposed sp diverged at iter {k}"
+        );
     }
 }
 
@@ -192,6 +201,23 @@ fn iterate_matches_iterate_reference_bitwise_warm_start() {
     let (a, b, l) = planted_instance(30, 70, 5, 13);
     let cfg = BpConfig {
         warm_start: true,
+        ..Default::default()
+    };
+    assert_lockstep(&a, &b, &l, &cfg, 6, false);
+}
+
+/// A β whose multiples are not exact (Σ of `deg` copies of 0.1 is not
+/// `0.1·deg`), so the first sweep's `dᶜ` must be the reference's chained
+/// row sum, not a product; with constant damping, which no other
+/// lockstep case runs.
+#[test]
+fn iterate_matches_iterate_reference_at_inexact_beta_and_constant_damping() {
+    let (a, b, l) = planted_instance(40, 100, 4, 17);
+    let cfg = BpConfig {
+        alpha: 0.3,
+        beta: 0.1,
+        gamma: 0.9,
+        damping: DampingSchedule::Constant,
         ..Default::default()
     };
     assert_lockstep(&a, &b, &l, &cfg, 6, false);
@@ -316,7 +342,7 @@ fn iterate_is_identical_at_every_thread_count() {
                 e.iterate();
             }
             let st = e.last_sweep();
-            let state = [e.yc(), e.zc(), e.dc(), e.f(), e.sp()].map(bits);
+            let state = [e.yc(), e.zc(), e.dc(), e.sp_transposed(), e.sp()].map(bits);
             (state, st.residual.to_bits(), st.saturated)
         })
     };

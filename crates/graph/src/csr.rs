@@ -32,29 +32,52 @@ impl CsrGraph {
     /// # Panics
     /// Panics if any endpoint is `>= n`.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(edges.len() * 2);
+        // Degree count (both orientations, self loops skipped), then a
+        // fill through one cursor per row, then a per-row sort + dedup
+        // compacted in place: the same CSR a global sort of the
+        // directed pairs would give, without sorting pairs.
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in edges {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "edge ({u}, {v}) out of bounds for n = {n}"
             );
-            if u == v {
-                continue;
+            if u != v {
+                offsets[u as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
             }
-            pairs.push((u, v));
-            pairs.push((v, u));
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-
-        let mut offsets = vec![0usize; n + 1];
-        for &(u, _) in &pairs {
-            offsets[u as usize + 1] += 1;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let targets = pairs.into_iter().map(|(_, v)| v).collect();
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets: Vec<VertexId> = vec![0; offsets[n]];
+        for &(u, v) in edges {
+            if u != v {
+                targets[cursor[u as usize]] = v;
+                cursor[u as usize] += 1;
+                targets[cursor[v as usize]] = u;
+                cursor[v as usize] += 1;
+            }
+        }
+        let mut kept = 0usize;
+        for u in 0..n {
+            let (start, end) = (offsets[u], offsets[u + 1]);
+            let row = &mut targets[start..end];
+            row.sort_unstable();
+            offsets[u] = kept;
+            let mut last = None;
+            for i in start..end {
+                let v = targets[i];
+                if last != Some(v) {
+                    targets[kept] = v;
+                    kept += 1;
+                    last = Some(v);
+                }
+            }
+        }
+        offsets[n] = kept;
+        targets.truncate(kept);
         CsrGraph {
             n,
             offsets,
@@ -247,5 +270,21 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn rejects_out_of_range_vertex() {
         let _ = CsrGraph::from_edges(2, &[(0, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge (3, 3) out of bounds for n = 2")]
+    fn rejects_the_first_out_of_range_edge_even_a_self_loop() {
+        let _ = CsrGraph::from_edges(2, &[(0, 1), (3, 3), (0, 7)]);
+    }
+
+    #[test]
+    fn rows_are_sorted_and_deduplicated_from_any_order() {
+        let g = CsrGraph::from_edges(5, &[(4, 0), (2, 0), (0, 4), (1, 1), (0, 2), (3, 0), (2, 4)]);
+        assert_eq!(g.offsets(), &[0, 3, 3, 5, 6, 8]);
+        assert_eq!(g.targets(), &[2, 3, 4, 0, 4, 0, 0, 2]);
+        g.check_invariants().unwrap();
+        assert_eq!(CsrGraph::from_edges(0, &[]), CsrGraph::empty(0));
+        assert_eq!(CsrGraph::from_edges(3, &[(1, 1)]), CsrGraph::empty(3));
     }
 }

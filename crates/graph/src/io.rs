@@ -12,11 +12,20 @@ use std::path::Path;
 /// Reads an edge list from any reader. Vertex count is `1 + max id` unless
 /// a larger `min_vertices` is supplied.
 pub fn read_edge_list<R: Read>(reader: R, min_vertices: usize) -> io::Result<CsrGraph> {
-    let reader = BufReader::new(reader);
+    let mut reader = BufReader::new(reader);
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut max_id: usize = 0;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
+    // One line buffer for the whole read. `trim` strips the `\n` or
+    // `\r\n` terminator along with other edge whitespace, so lines read
+    // as `BufRead::lines` would give them.
+    let mut line = String::new();
+    let mut lineno = 0usize;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
+        lineno += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
@@ -26,14 +35,14 @@ pub fn read_edge_list<R: Read>(reader: R, min_vertices: usize) -> io::Result<Csr
             tok.ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("line {}: expected two vertex ids", lineno + 1),
+                    format!("line {lineno}: expected two vertex ids"),
                 )
             })?
             .parse::<VertexId>()
             .map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("line {}: bad vertex id: {e}", lineno + 1),
+                    format!("line {lineno}: bad vertex id: {e}"),
                 )
             })
         };
@@ -191,6 +200,58 @@ mod tests {
     fn rejects_garbage() {
         assert!(read_edge_list("0 x\n".as_bytes(), 0).is_err());
         assert!(read_edge_list("7\n".as_bytes(), 0).is_err());
+    }
+
+    fn error_text(text: &[u8]) -> String {
+        let err = read_edge_list(text, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        err.to_string()
+    }
+
+    #[test]
+    fn errors_name_the_line_counting_comments_and_blanks() {
+        assert_eq!(
+            error_text(b"# c\n\n0 1\n7\n"),
+            "line 4: expected two vertex ids"
+        );
+        assert_eq!(
+            error_text(b"0 1\n  \n1 x\n"),
+            "line 3: bad vertex id: invalid digit found in string"
+        );
+        assert_eq!(
+            error_text(b"-1 0\n"),
+            "line 1: bad vertex id: invalid digit found in string"
+        );
+        assert_eq!(
+            error_text(b"0 4294967296\n"),
+            "line 1: bad vertex id: number too large to fit in target type"
+        );
+        assert_eq!(
+            error_text(b"0 1\r\n\r\n2\r\n"),
+            "line 3: expected two vertex ids"
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error() {
+        let err = read_edge_list(&b"0 1\n\xff 2\n"[..], 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn crlf_comments_trailing_tokens_and_unterminated_last_line() {
+        let text = "0 1\r\n  # indented comment\r\n\t2 3 0.75 extra\r\n#x 9 9\n4 0 # note\n1\t2";
+        let g = read_edge_list(text.as_bytes(), 0).unwrap();
+        let want = CsrGraph::from_edges(5, &[(0, 1), (2, 3), (4, 0), (1, 2)]);
+        assert_eq!(g, want);
+    }
+
+    #[test]
+    fn self_loops_and_duplicates_still_size_the_graph() {
+        // A self loop on the largest id adds a vertex but no edge.
+        let g = read_edge_list("0 1\n1 0\n0 1\n6 6\n".as_bytes(), 0).unwrap();
+        assert_eq!(g.num_vertices(), 7);
+        assert_eq!(g.num_edges(), 1);
     }
 
     #[test]

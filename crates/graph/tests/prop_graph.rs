@@ -42,6 +42,48 @@ fn csr_invariants_hold() {
     });
 }
 
+/// The pair-sorting construction `CsrGraph::from_edges` used to run:
+/// both orientations of every non-loop edge, globally sorted and
+/// deduplicated, then counted into offsets.
+fn from_edges_sort_dedup(n: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for &(u, v) in edges {
+        if u != v {
+            pairs.push((u, v));
+            pairs.push((v, u));
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, _) in &pairs {
+        offsets[u as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    (offsets, pairs.into_iter().map(|(_, v)| v).collect())
+}
+
+/// The degree-count + per-row sort construction gives exactly the CSR
+/// of a global sort-dedup of the directed pairs, on edge lists heavy in
+/// duplicates (both orientations), self loops and isolated vertices.
+#[test]
+fn csr_equals_sort_dedup_reference() {
+    cases(CASES, 10, |rng| {
+        let n = rng.below(40);
+        let span = rng.range(1..41).min(n.max(1));
+        let m = if n == 0 { 0 } else { rng.below(200) };
+        let edges: Vec<(u32, u32)> = (0..m)
+            .map(|_| (rng.below(span) as u32, rng.below(span) as u32))
+            .collect();
+        let g = CsrGraph::from_edges(n, &edges);
+        let (offsets, targets) = from_edges_sort_dedup(n, &edges);
+        assert_eq!(g.offsets(), &offsets[..]);
+        assert_eq!(g.targets(), &targets[..]);
+    });
+}
+
 /// from_edges ∘ edge_list is the identity on canonical graphs.
 #[test]
 fn csr_edge_list_roundtrip() {

@@ -8,15 +8,17 @@
 //! * [`MergePlan`] — merge-path work partitioning: the flat nonzero
 //!   range is cut into equal-nnz chunks so a skewed degree distribution
 //!   cannot serialize a sweep on one hot row,
-//! * [`row_map_reduce`] — fused map + row-sum (Listing 1's `F`+`dᶜ`),
-//! * [`row_scaled_map`] — rank-1 row update (the `Sᶜ` update),
+//! * [`paired_update_reduce`] — two value arrays updated in place per
+//!   nonzero from the row's and the column's scalar, fused with a row
+//!   sum of the updated values (BP's one pass over `S`: `Sᵖ`, its
+//!   transpose and the next `dᶜ`),
 //! * [`exclusion_max`] — grouped othermax, and [`exclusion_max_apply`],
 //!   othermax fused with a two-output epilogue.
 //!
-//! The two epilogue kernels ([`row_scaled_map`], [`exclusion_max_apply`])
-//! also fold a caller-chosen [`Monoid`] alongside their writes, so a
-//! statistic of the values they produce (BP's residual and clamp
-//! counts) costs no extra pass over the arrays.
+//! The two epilogue kernels ([`paired_update_reduce`],
+//! [`exclusion_max_apply`]) also fold a caller-chosen [`Monoid`]
+//! alongside their writes, so a statistic of the values they produce
+//! (BP's residual and clamp counts) costs no extra pass over the arrays.
 //!
 //! # Exactness contract
 //!
@@ -36,13 +38,13 @@
 //!    [`exclusion_max_apply`]) have the owner walk the whole group —
 //!    reading past its chunk boundary is safe — so a group's selection
 //!    never splits.
-//! 2. **Straddle fixup.** [`row_map_reduce`] also *writes* the mapped
-//!    values, and a row straddling a chunk boundary has its segments
-//!    written by different chunks. The parallel pass reduces only rows
-//!    fully contained in their owner's chunk; the few straddle rows
-//!    (at most one per interior boundary, recorded in the plan) are
-//!    re-summed serially afterwards from the materialized values — the
-//!    same left-to-right chain over the same bits.
+//! 2. **Straddle fixup.** [`paired_update_reduce`] also *writes* the
+//!    values it sums, and a row straddling a chunk boundary has its
+//!    segments written by different chunks. The parallel pass reduces
+//!    only rows fully contained in their owner's chunk; the few straddle
+//!    rows (at most one per interior boundary, recorded in the plan) are
+//!    re-summed serially afterwards from the final values — the same
+//!    left-to-right chain over the same bits.
 //!
 //! Load balance: per-chunk work is `chunk_nnz` plus at most one
 //! partial row, so a single hot row costs its owner one row-length
@@ -206,8 +208,8 @@ impl MergePlan {
     }
 
     /// Rows split across chunk boundaries (ascending, deduplicated) —
-    /// the rows [`row_map_reduce`] re-sums serially after its parallel
-    /// pass.
+    /// the rows [`paired_update_reduce`] re-sums serially after its
+    /// parallel pass.
     #[inline]
     pub fn straddle_rows(&self) -> &[usize] {
         &self.straddle
@@ -288,189 +290,163 @@ fn split_owned_spans<'v, T>(
     split_by_lens(vals, plan.chunks.iter().map(|c| c.owned_span_len(offsets)))
 }
 
-/// Fused map + row-reduce (the shape of the paper's Listing 1): writes
-/// `vals_out[j] = map(j)` for every flat nonzero index and
-/// `y[r] = init(r) + Σ_j map(j)` (sequential chain) for every row.
+/// Paired in-place update with a row reduce — the shape of BP's one
+/// streaming pass over `S`, which carries `Sᵖ` and its transpose side
+/// by side. For every nonzero `j` at `(r, c)` (`c = cols[j]`), in row
+/// order:
 ///
-/// Parallel pass: each chunk writes its flat `[begin, end)` segment and
-/// reduces the rows fully contained in it; rows straddling a boundary
-/// are re-summed serially afterwards from the materialized values —
-/// same values, same order, so the result matches
-/// [`row_map_reduce_reference`] bitwise.
+/// 1. `update(x[r], x[c], &mut a[j], &mut b[j], acc)` rewrites both
+///    values in place (`acc` is the calling chunk's [`Monoid`]
+///    accumulator; the combined result is returned);
+/// 2. row `r`'s sum takes `term(b[j])` of the value just written.
+///
+/// `y[r] = init(r) + Σ_j term(b[j])`, the sequential left-to-right
+/// chain from `0.0`. Parallel pass: each chunk updates its flat
+/// `[begin, end)` segment and reduces the rows fully contained in it;
+/// rows straddling a boundary are re-summed serially afterwards from
+/// the final `b` — same values, same order, so the result matches
+/// [`paired_update_reduce_reference`] bitwise.
 ///
 /// # Panics
-/// Panics on dimension mismatches.
-pub fn row_map_reduce(
+/// Panics on dimension mismatches, or if a column index is out of
+/// range of `x`.
+#[allow(clippy::too_many_arguments)]
+pub fn paired_update_reduce<A: Monoid>(
     offsets: &[usize],
+    cols: &[u32],
     plan: &MergePlan,
-    map: impl Fn(usize) -> f64 + Sync,
+    x: &[f64],
+    update: impl Fn(f64, f64, &mut f64, &mut f64, &mut A) + Sync,
+    term: impl Fn(f64) -> f64 + Sync,
     init: impl Fn(usize) -> f64 + Sync,
-    vals_out: &mut [f64],
+    a: &mut [f64],
+    b: &mut [f64],
     y: &mut [f64],
-) {
+) -> A {
     plan.check_shape(offsets);
-    assert_eq!(vals_out.len(), plan.nnz(), "vals_out length mismatch");
+    assert_eq!(cols.len(), plan.nnz(), "cols length mismatch");
+    assert_eq!(a.len(), plan.nnz(), "a length mismatch");
+    assert_eq!(b.len(), plan.nnz(), "b length mismatch");
+    assert_eq!(x.len(), plan.num_rows(), "x length mismatch");
     assert_eq!(y.len(), plan.num_rows(), "output length mismatch");
-    let parts: Vec<(&mut [f64], &mut [f64])> = split_chunk_flat(plan, vals_out)
+    let parts: Vec<_> = split_chunk_flat(plan, a)
         .into_iter()
+        .zip(split_chunk_flat(plan, b))
         .zip(split_owned_rows(plan, y))
         .collect();
-    par::for_each(parts, plan.min_run_chunks(), |ci, (vc, yc)| {
-        let c = &plan.chunks[ci];
-        // Head segment: flat indices belonging to a row owned by an
-        // earlier chunk (or to a row this chunk merely passes
-        // through). Values only; the owner or the fixup reduces.
-        let own_start = if c.owned_rows == 0 {
-            c.end
-        } else {
-            offsets[c.first_owned]
-        };
-        let head_len = own_start.min(c.end) - c.begin;
-        for (slot, j) in vc[..head_len].iter_mut().zip(c.begin..) {
-            *slot = map(j);
-        }
-        for (i, yv) in yc.iter_mut().enumerate() {
-            let r = c.first_owned + i;
-            let rs = offsets[r];
-            let re = offsets[r + 1];
-            if re <= c.end {
-                // Fully contained: fuse the write with the reduce.
-                let mut sum = 0.0;
-                for (slot, j) in vc[rs - c.begin..re - c.begin].iter_mut().zip(rs..) {
-                    let v = map(j);
-                    *slot = v;
-                    sum += v;
-                }
-                *yv = init(r) + sum;
-            } else {
-                // Owner of a straddle row: write our segment, leave
-                // the reduction to the serial fixup below.
-                for (slot, j) in vc[rs - c.begin..].iter_mut().zip(rs..) {
-                    *slot = map(j);
-                }
-            }
-        }
-    });
-    // Straddle fixup: the sequential chain over the materialized values.
-    for &r in plan.straddle_rows() {
-        let mut sum = 0.0;
-        for &v in &vals_out[offsets[r]..offsets[r + 1]] {
-            sum += v;
-        }
-        y[r] = init(r) + sum;
-    }
-}
-
-/// Serial oracle for [`row_map_reduce`].
-///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn row_map_reduce_reference(
-    offsets: &[usize],
-    map: impl Fn(usize) -> f64,
-    init: impl Fn(usize) -> f64,
-    vals_out: &mut [f64],
-    y: &mut [f64],
-) {
-    assert_eq!(y.len(), offsets.len() - 1, "output length mismatch");
-    assert_eq!(
-        vals_out.len(),
-        offsets[offsets.len() - 1],
-        "vals_out length mismatch"
-    );
-    for (r, yv) in y.iter_mut().enumerate() {
-        let mut sum = 0.0;
-        let (lo, hi) = (offsets[r], offsets[r + 1]);
-        for (j, slot) in (lo..hi).zip(&mut vals_out[lo..hi]) {
-            let v = map(j);
-            *slot = v;
-            sum += v;
-        }
-        *yv = init(r) + sum;
-    }
-}
-
-/// Row-scaled elementwise map with a side reduction:
-/// `out[j] = map(scalar(r), j, acc)` for every nonzero `j` of row `r` —
-/// the shape of BP's `Sᶜ` update, where the per-row scalar `yᶜ+zᶜ−dᶜ`
-/// is broadcast down the row. `map` may fold into `acc`, the calling
-/// chunk's [`Monoid`] accumulator; the combined result is returned.
-/// `scalar` must be pure: chunks sharing a straddle row each recompute
-/// it (identical bits, no cross-chunk traffic).
-///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn row_scaled_map<A: Monoid>(
-    offsets: &[usize],
-    plan: &MergePlan,
-    scalar: impl Fn(usize) -> f64 + Sync,
-    map: impl Fn(f64, usize, &mut A) -> f64 + Sync,
-    out: &mut [f64],
-) -> A {
-    plan.check_shape(offsets);
-    assert_eq!(out.len(), plan.nnz(), "output length mismatch");
-    let parts = split_chunk_flat(plan, out);
-    par::map_reduce(
+    let acc = par::map_reduce(
         parts,
         plan.min_run_chunks(),
-        |ci, oc| row_scaled_chunk(offsets, &plan.chunks[ci], &scalar, &map, oc),
+        |ci, ((ac, bc), yc)| {
+            let c = &plan.chunks[ci];
+            paired_chunk(offsets, cols, c, x, &update, &term, &init, ac, bc, yc)
+        },
         A::combine,
     )
-    .unwrap_or_default()
-}
-
-/// One chunk of [`row_scaled_map`]. A function of its own so `out` is a
-/// `&mut` parameter: its no-alias guarantee lets the compiler keep the
-/// closures' captures in registers instead of reloading them after
-/// every store.
-#[inline]
-fn row_scaled_chunk<A: Monoid>(
-    offsets: &[usize],
-    c: &MergeChunk,
-    scalar: &impl Fn(usize) -> f64,
-    map: &impl Fn(f64, usize, &mut A) -> f64,
-    out: &mut [f64],
-) -> A {
-    let mut acc = A::default();
-    let mut r = c.head_row;
-    let mut j = c.begin;
-    while j < c.end {
-        while offsets[r + 1] <= j {
-            r += 1;
+    .unwrap_or_default();
+    // Straddle fixup: the sequential chain over the final values.
+    for &r in plan.straddle_rows() {
+        let mut sum = 0.0;
+        for &v in &b[offsets[r]..offsets[r + 1]] {
+            sum += term(v);
         }
-        let seg_end = offsets[r + 1].min(c.end);
-        let v = scalar(r);
-        for (slot, jj) in out[j - c.begin..seg_end - c.begin].iter_mut().zip(j..) {
-            *slot = map(v, jj, &mut acc);
-        }
-        j = seg_end;
+        y[r] = init(r) + sum;
     }
     acc
 }
 
-/// Serial oracle for [`row_scaled_map`]: one accumulator folded in
-/// flat order.
+/// One chunk of [`paired_update_reduce`]. A function of its own so the
+/// outputs are `&mut` parameters: their no-alias guarantee lets the
+/// compiler keep the closures' captures in registers instead of
+/// reloading them after every store.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn paired_chunk<A: Monoid>(
+    offsets: &[usize],
+    cols: &[u32],
+    c: &MergeChunk,
+    x: &[f64],
+    update: &impl Fn(f64, f64, &mut f64, &mut f64, &mut A),
+    term: &impl Fn(f64) -> f64,
+    init: &impl Fn(usize) -> f64,
+    a: &mut [f64],
+    b: &mut [f64],
+    y: &mut [f64],
+) -> A {
+    let mut acc = A::default();
+    // Head segment: the tail of a row owned by an earlier chunk (or a
+    // hot row this chunk merely passes through) — all of it in
+    // `head_row`. Values only; the owner or the fixup reduces.
+    let own_start = if c.owned_rows == 0 {
+        c.end
+    } else {
+        offsets[c.first_owned]
+    };
+    let head_len = own_start.min(c.end) - c.begin;
+    if head_len > 0 {
+        let xr = x[c.head_row];
+        let vals = a[..head_len].iter_mut().zip(&mut b[..head_len]);
+        for (&col, (av, bv)) in cols[c.begin..c.begin + head_len].iter().zip(vals) {
+            update(xr, x[col as usize], av, bv, &mut acc);
+        }
+    }
+    for (i, yv) in y.iter_mut().enumerate() {
+        let r = c.first_owned + i;
+        let (rs, re) = (offsets[r], offsets[r + 1].min(c.end));
+        let xr = x[r];
+        let span = rs - c.begin..re - c.begin;
+        let vals = a[span.clone()].iter_mut().zip(&mut b[span]);
+        let row_cols = cols[rs..re].iter();
+        if re == offsets[r + 1] {
+            // Fully contained: fuse the update with the reduce.
+            let mut sum = 0.0;
+            for (&col, (av, bv)) in row_cols.zip(vals) {
+                update(xr, x[col as usize], av, bv, &mut acc);
+                sum += term(*bv);
+            }
+            *yv = init(r) + sum;
+        } else {
+            // Owner of a straddle row: update our segment, leave the
+            // reduction to the serial fixup.
+            for (&col, (av, bv)) in row_cols.zip(vals) {
+                update(xr, x[col as usize], av, bv, &mut acc);
+            }
+        }
+    }
+    acc
+}
+
+/// Serial oracle for [`paired_update_reduce`]: one accumulator folded
+/// in flat order.
 ///
 /// # Panics
 /// Panics on dimension mismatches.
-pub fn row_scaled_map_reference<A: Monoid>(
+#[allow(clippy::too_many_arguments)]
+pub fn paired_update_reduce_reference<A: Monoid>(
     offsets: &[usize],
-    scalar: impl Fn(usize) -> f64,
-    map: impl Fn(f64, usize, &mut A) -> f64,
-    out: &mut [f64],
+    cols: &[u32],
+    x: &[f64],
+    update: impl Fn(f64, f64, &mut f64, &mut f64, &mut A),
+    term: impl Fn(f64) -> f64,
+    init: impl Fn(usize) -> f64,
+    a: &mut [f64],
+    b: &mut [f64],
+    y: &mut [f64],
 ) -> A {
-    assert_eq!(
-        out.len(),
-        offsets[offsets.len() - 1],
-        "output length mismatch"
-    );
+    let nnz = offsets[offsets.len() - 1];
+    assert_eq!(cols.len(), nnz, "cols length mismatch");
+    assert_eq!(a.len(), nnz, "a length mismatch");
+    assert_eq!(b.len(), nnz, "b length mismatch");
+    assert_eq!(x.len(), offsets.len() - 1, "x length mismatch");
+    assert_eq!(y.len(), offsets.len() - 1, "output length mismatch");
     let mut acc = A::default();
-    for r in 0..offsets.len() - 1 {
-        let v = scalar(r);
-        let (lo, hi) = (offsets[r], offsets[r + 1]);
-        for (j, slot) in (lo..hi).zip(&mut out[lo..hi]) {
-            *slot = map(v, j, &mut acc);
+    for (r, yv) in y.iter_mut().enumerate() {
+        let mut sum = 0.0;
+        for j in offsets[r]..offsets[r + 1] {
+            update(x[r], x[cols[j] as usize], &mut a[j], &mut b[j], &mut acc);
+            sum += term(b[j]);
         }
+        *yv = init(r) + sum;
     }
     acc
 }
@@ -659,6 +635,16 @@ mod tests {
         (offsets, cols)
     }
 
+    /// Counts updates: the simplest side reduction.
+    #[derive(Default)]
+    struct Count(usize);
+
+    impl Monoid for Count {
+        fn combine(self, other: Self) -> Self {
+            Count(self.0 + other.0)
+        }
+    }
+
     fn ownership_is_a_partition(plan: &MergePlan) {
         let mut next = 0usize;
         for c in plan.chunks() {
@@ -736,25 +722,46 @@ mod tests {
     }
 
     #[test]
-    fn row_map_reduce_fixes_up_straddle_rows() {
-        let (offsets, _) = csr(&[&[0], &[0, 1, 2, 3, 4, 5, 6, 7], &[0]]);
+    fn paired_update_reduce_fixes_up_straddle_rows() {
+        // Square pattern: a hot row between short and empty rows.
+        let rows: [&[u32]; 8] = [
+            &[1],
+            &[0, 1, 2, 3, 4, 5, 6, 7],
+            &[0],
+            &[],
+            &[2],
+            &[],
+            &[7],
+            &[3],
+        ];
+        let (offsets, cols) = csr(&rows);
+        let x: Vec<f64> = (0..8).map(|r| (r as f64 * 0.37).sin()).collect();
+        let start: Vec<f64> = (0..cols.len()).map(|j| (j as f64 * 0.61).cos()).collect();
+        let update = |xr: f64, xc: f64, a: &mut f64, b: &mut f64, n: &mut Count| {
+            *a = xr - 0.5 * *a;
+            *b = xc * *b + *a;
+            n.0 += 1;
+        };
+        let term = |v: f64| v * 1.5;
+        let init = |r: usize| r as f64 * 0.5;
+        let (mut as_, mut bs, mut ys) = (start.clone(), start.clone(), vec![0.0; 8]);
+        let ns = paired_update_reduce_reference(
+            &offsets, &cols, &x, update, term, init, &mut as_, &mut bs, &mut ys,
+        );
+        assert_eq!(ns.0, cols.len());
         for chunk_nnz in [1, 2, 3, 64] {
             let plan = MergePlan::with_chunk_nnz(&offsets, chunk_nnz);
-            let map = |j: usize| (j as f64 * 0.37).sin();
-            let init = |r: usize| r as f64 * 0.5;
-            let nnz = plan.nnz();
-            let (mut vf, mut yf) = (vec![0.0; nnz], vec![0.0; 3]);
-            let (mut vs, mut ys) = (vec![0.0; nnz], vec![0.0; 3]);
-            row_map_reduce(&offsets, &plan, map, init, &mut vf, &mut yf);
-            row_map_reduce_reference(&offsets, map, init, &mut vs, &mut ys);
-            assert_eq!(
-                yf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                ys.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            let (mut af, mut bf, mut yf) = (start.clone(), start.clone(), vec![0.0; 8]);
+            let nf = paired_update_reduce(
+                &offsets, &cols, &plan, &x, update, term, init, &mut af, &mut bf, &mut yf,
             );
-            assert_eq!(
-                vf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+            assert_eq!(nf.0, ns.0);
+            for (fast, slow) in [(&yf, &ys), (&af, &as_), (&bf, &bs)] {
+                assert_eq!(
+                    fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                );
+            }
         }
     }
 

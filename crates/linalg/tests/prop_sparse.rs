@@ -5,8 +5,7 @@
 
 use cualign_linalg::sparse::{
     exclusion_max, exclusion_max_apply, exclusion_max_apply_reference, exclusion_max_reference,
-    row_map_reduce, row_map_reduce_reference, row_scaled_map, row_scaled_map_reference, MergePlan,
-    Monoid,
+    paired_update_reduce, paired_update_reduce_reference, MergePlan, Monoid,
 };
 use cualign_rt::check::cases;
 use cualign_rt::{par, Rng};
@@ -73,63 +72,88 @@ impl Monoid for MaxCount {
     }
 }
 
-/// Fused map + row-reduce (values and sums), straddle fixup
-/// included, ≡ reference bitwise.
-#[test]
-fn row_map_reduce_is_bitwise_reference() {
-    cases(CASES, 1, |rng| {
-        let (rows, ncols, max_deg) = (rng.below(40), rng.range(1..24), rng.below(12));
-        let chunk_nnz = rng.range(1..16);
-        let mut rng = Rng::new(rng.below(10_000) as u64);
-        let (offsets, cols) = random_csr(rows, ncols, max_deg, &mut rng);
-        let src = random_vals(cols.len(), &mut rng);
-        let w = random_vals(rows, &mut rng);
-        let map = |j: usize| (2.0 + src[j]).clamp(0.0, 2.0);
-        let init = |r: usize| 0.7 * w[r];
-        let plan = MergePlan::with_chunk_nnz(&offsets, chunk_nnz);
-        let nnz = cols.len();
-        let (mut vs, mut ys) = (vec![0.0; nnz], vec![0.0; rows]);
-        row_map_reduce_reference(&offsets, map, init, &mut vs, &mut ys);
-        for t in THREADS {
-            let (mut vf, mut yf) = (vec![0.0; nnz], vec![0.0; rows]);
-            par::with_threads(t, || {
-                row_map_reduce(&offsets, &plan, map, init, &mut vf, &mut yf)
-            });
-            assert_eq!(bits(&yf), bits(&ys), "{t} threads");
-            assert_eq!(bits(&vf), bits(&vs), "{t} threads");
-        }
-    });
+/// The update BP's sweep runs through [`paired_update_reduce`]: `a`
+/// and `b` are a value and its mirror, each damped towards its row
+/// scalar minus the other's clamp, with the step magnitudes and the
+/// saturated clamps reduced on the side.
+fn bp_shaped_update(xr: f64, xc: f64, a: &mut f64, b: &mut f64, acc: &mut MaxCount) {
+    let (p, t) = (*a, *b);
+    let f = clamped(t);
+    let c = xr - f;
+    acc.add((c - p).abs(), f <= 0.0 || f >= 2.0);
+    *a = 0.93 * c + (1.0 - 0.93) * p;
+    let ct = xc - clamped(p);
+    acc.add((ct - t).abs(), false);
+    *b = 0.93 * ct + (1.0 - 0.93) * t;
 }
 
-/// Row-scaled elementwise map ≡ reference bitwise (per-row scalar
-/// broadcast down rows that may straddle chunks), side reduction
-/// included.
+fn clamped(v: f64) -> f64 {
+    (2.0 + v).clamp(0.0, 2.0)
+}
+
+/// Runs [`paired_update_reduce`] at every thread count from the same
+/// starting values and asserts both arrays, the row sums and the side
+/// reduction equal the reference's, bit for bit.
+fn assert_paired_is_reference(
+    offsets: &[usize],
+    cols: &[u32],
+    plan: &MergePlan,
+    x: &[f64],
+    start: (&[f64], &[f64]),
+    init: impl Fn(usize) -> f64 + Sync + Copy,
+) {
+    let rows = offsets.len() - 1;
+    let (mut sa, mut sb, mut sy) = (start.0.to_vec(), start.1.to_vec(), vec![0.0; rows]);
+    let red_slow = paired_update_reduce_reference(
+        offsets,
+        cols,
+        x,
+        bp_shaped_update,
+        clamped,
+        init,
+        &mut sa,
+        &mut sb,
+        &mut sy,
+    );
+    for t in THREADS {
+        let (mut fa, mut fb, mut fy) = (start.0.to_vec(), start.1.to_vec(), vec![9.0; rows]);
+        let red_fast = par::with_threads(t, || {
+            paired_update_reduce(
+                offsets,
+                cols,
+                plan,
+                x,
+                bp_shaped_update,
+                clamped,
+                init,
+                &mut fa,
+                &mut fb,
+                &mut fy,
+            )
+        });
+        assert_eq!(bits(&fa), bits(&sa), "{t} threads");
+        assert_eq!(bits(&fb), bits(&sb), "{t} threads");
+        assert_eq!(bits(&fy), bits(&sy), "{t} threads");
+        assert_eq!(red_fast.key(), red_slow.key(), "{t} threads");
+    }
+}
+
+/// Paired in-place update + row reduce ≡ reference bitwise: both
+/// arrays, the row sums (straddle fixup included) and the side
+/// reduction, on square patterns with empty rows.
 #[test]
-fn row_scaled_map_is_bitwise_reference() {
-    cases(CASES, 2, |rng| {
-        let (rows, ncols, max_deg) = (rng.below(40), rng.range(1..24), rng.below(12));
+fn paired_update_reduce_is_bitwise_reference() {
+    cases(CASES, 1, |rng| {
+        let (rows, max_deg) = (rng.below(40), rng.below(12));
         let chunk_nnz = rng.range(1..16);
         let mut rng = Rng::new(rng.below(10_000) as u64);
-        let (offsets, cols) = random_csr(rows, ncols, max_deg, &mut rng);
-        let f = random_vals(cols.len(), &mut rng);
-        let yzd = random_vals(rows, &mut rng);
-        let scalar = |r: usize| yzd[r] * 1.5 - 0.25;
-        let map = |v: f64, j: usize, acc: &mut MaxCount| {
-            let out = v - f[j];
-            acc.add(out.abs(), f[j] > 0.0);
-            out
-        };
+        let (offsets, cols) = random_csr(rows, rows, max_deg, &mut rng);
+        let a = random_vals(cols.len(), &mut rng);
+        let b = random_vals(cols.len(), &mut rng);
+        let x = random_vals(rows, &mut rng);
+        let w = random_vals(rows, &mut rng);
         let plan = MergePlan::with_chunk_nnz(&offsets, chunk_nnz);
-        let mut slow = vec![0.0; cols.len()];
-        let red_slow = row_scaled_map_reference(&offsets, scalar, map, &mut slow);
-        for t in THREADS {
-            let mut fast = vec![0.0; cols.len()];
-            let red_fast = par::with_threads(t, || {
-                row_scaled_map(&offsets, &plan, scalar, map, &mut fast)
-            });
-            assert_eq!(bits(&fast), bits(&slow), "{t} threads");
-            assert_eq!(red_fast.key(), red_slow.key(), "{t} threads");
-        }
+        assert_paired_is_reference(&offsets, &cols, &plan, &x, (&a, &b), |r| 0.7 * w[r]);
     });
 }
 
@@ -224,8 +248,10 @@ fn exclusion_max_apply_is_bitwise_reference() {
 }
 
 /// A single hot row holding almost all nonzeros — the skewed-degree
-/// shape merge balancing exists for. The hot row spans every chunk;
-/// every kernel BP runs must still produce the sequential bits.
+/// shape merge balancing exists for — followed by thousands of empty
+/// rows. The hot row spans every chunk; every kernel BP runs must
+/// still produce the sequential bits, at 1, 2 and 4 threads for the
+/// paired update.
 #[test]
 fn skewed_single_hot_row_is_bitwise_reference() {
     let mut rng = Rng::new(77);
@@ -239,6 +265,8 @@ fn skewed_single_hot_row_is_bitwise_reference() {
         cols.push(c);
         offsets.push(cols.len());
     }
+    // Empty rows up to a square shape, so column ids also index rows.
+    offsets.resize(ncols + 1, cols.len());
     let vals = random_vals(cols.len(), &mut rng);
     let x = random_vals(ncols, &mut rng);
     let plan = MergePlan::with_chunk_nnz(&offsets, 256);
@@ -247,31 +275,14 @@ fn skewed_single_hot_row_is_bitwise_reference() {
         plan.straddle_rows().contains(&1),
         "hot row must be recorded as a straddle row"
     );
-    let rows = offsets.len() - 1;
     let nnz = cols.len();
 
-    let map = |j: usize| vals[j] * 1.25;
-    let init = |r: usize| r as f64 * 0.5;
-    let (mut vf, mut yf) = (vec![0.0; nnz], vec![0.0; rows]);
-    let (mut vs, mut ys) = (vec![0.0; nnz], vec![0.0; rows]);
-    row_map_reduce(&offsets, &plan, map, init, &mut vf, &mut yf);
-    row_map_reduce_reference(&offsets, map, init, &mut vs, &mut ys);
-    assert_eq!(bits(&yf), bits(&ys));
-    assert_eq!(bits(&vf), bits(&vs));
-
-    // Row-scaled map: the hot row's scalar is recomputed by every chunk
-    // it spans.
-    let scalar = |r: usize| ys[r] - 0.25;
-    let scaled = |v: f64, j: usize, acc: &mut MaxCount| {
-        let out = v * vals[j];
-        acc.add(out.abs(), vals[j] > 0.0);
-        out
-    };
-    let (mut sf, mut ss) = (vec![0.0; nnz], vec![0.0; nnz]);
-    let red_fast = row_scaled_map(&offsets, &plan, scalar, scaled, &mut sf);
-    let red_slow = row_scaled_map_reference(&offsets, scalar, scaled, &mut ss);
-    assert_eq!(bits(&sf), bits(&ss));
-    assert_eq!(red_fast.key(), red_slow.key());
+    // Paired update: the hot row's scalar is read by every chunk it
+    // spans, and only the fixup sums it.
+    let start = random_vals(nnz, &mut rng);
+    assert_paired_is_reference(&offsets, &cols, &plan, &x, (&vals, &start), |r| {
+        r as f64 * 0.5
+    });
 
     // Exclusion max over the rows as groups (columns index `x`): the
     // hot group is owned whole by one chunk and read past its boundary.
@@ -304,21 +315,22 @@ fn empty_and_all_empty_rows_are_handled() {
         let rows = offsets.len() - 1;
         let x = vec![1.0; 4];
 
-        let (mut vf, mut fast) = (Vec::new(), vec![9.0; rows]);
-        let (mut vs, mut slow) = (Vec::new(), vec![9.0; rows]);
-        row_map_reduce(&offsets, &plan, |_| 1.0, |_| 0.0, &mut vf, &mut fast);
-        row_map_reduce_reference(&offsets, |_| 1.0, |_| 0.0, &mut vs, &mut slow);
-        assert_eq!(bits(&fast), bits(&slow));
-        assert!(fast.iter().all(|&v| v == 0.0), "empty rows must sum to 0");
-
-        let scaled = |v: f64, _: usize, acc: &mut MaxCount| {
-            acc.add(v, true);
-            v
-        };
-        let red_fast = row_scaled_map(&offsets, &plan, |_| 1.0, scaled, &mut []);
-        let red_slow = row_scaled_map_reference(&offsets, |_| 1.0, scaled, &mut []);
-        assert_eq!(red_fast.key(), (0, 0));
-        assert_eq!(red_slow.key(), (0, 0));
+        let mut y = vec![9.0; rows];
+        let red = paired_update_reduce(
+            &offsets,
+            &cols,
+            &plan,
+            &x[..rows],
+            bp_shaped_update,
+            clamped,
+            |_| 0.0,
+            &mut [],
+            &mut [],
+            &mut y,
+        );
+        assert!(y.iter().all(|&v| v == 0.0), "empty rows must sum to 0");
+        assert_eq!(red.key(), (0, 0));
+        assert_paired_is_reference(&offsets, &cols, &plan, &x[..rows], (&[], &[]), |_| 0.0);
 
         exclusion_max(&offsets, &plan, &cols, &x, &mut []);
         exclusion_max_reference(&offsets, &cols, &x, &mut []);

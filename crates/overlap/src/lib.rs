@@ -13,10 +13,12 @@
 //! Structural properties the rest of the stack leans on:
 //!
 //! * `S` is **structurally symmetric** (input graphs are undirected), so a
-//!   single CSR plus a transpose permutation `perm` (an involution mapping
-//!   each nonzero to its mirror) supports both `S` and `Sᵀ` traversal —
-//!   exactly the `perm[j]` indirection in the paper's fused kernel
-//!   (Listing 1).
+//!   single CSR supports both `S` and `Sᵀ` traversal. The transpose
+//!   permutation `perm` (an involution mapping each nonzero to its
+//!   mirror) — the `perm[j]` indirection of the paper's fused kernel
+//!   (Listing 1) — is computed on demand by
+//!   [`OverlapMatrix::transpose_perm`]; BP carries its messages in both
+//!   orientations instead of gathering through it.
 //! * The sparsity pattern is **fixed** for the whole BP run; only values
 //!   attached to the nonzeros change. Belief propagation therefore stores
 //!   its message matrices as flat value arrays parallel to `col_idx`.
@@ -36,13 +38,14 @@
 //! that scan emits each row already sorted and duplicate-free, so the
 //! fill writes its final CSR slices directly, balanced across workers
 //! by `linalg::sparse` merge plans (one over `L`'s A-side CSR for the
-//! count, one over the counted offsets for the fill). The transpose
-//! permutation then takes one counting pass with a cursor per row, no
-//! searches. The original per-row enumerate-sort-dedup construction
-//! (with a binary search per nonzero for the transpose) is kept as
+//! count, one over the counted offsets for the fill). The original
+//! per-row enumerate-sort-dedup construction is kept as
 //! [`OverlapMatrix::build_reference`] — the pinned oracle
 //! (`docs/oracle_manifest.txt`) that [`OverlapMatrix::build`] must
-//! reproduce exactly (same offsets, columns, and permutation).
+//! reproduce exactly (same offsets and columns). The transpose
+//! permutation takes one counting pass with a cursor per row, no
+//! searches; its original binary search per nonzero is kept as
+//! [`OverlapMatrix::transpose_perm_reference`].
 //!
 //! **Place in the pipeline** (paper Fig. 2): stage 3, between
 //! sparsification and belief propagation — `S` is rebuilt whenever `L`
@@ -77,16 +80,13 @@ fn split_owned_spans<'v, T>(
         .collect()
 }
 
-/// The overlap matrix `S` in CSR form with a transpose permutation.
+/// The overlap matrix `S` in CSR form (structurally symmetric).
 #[derive(Clone, Debug)]
 pub struct OverlapMatrix {
     /// Row offsets (`num_rows + 1` entries).
     row_offsets: Vec<usize>,
     /// Column indices per row, ascending (edge ids of `L`).
     col_idx: Vec<EdgeId>,
-    /// `perm[j]` = flat index of the mirrored nonzero: if nonzero `j` sits
-    /// at `(e, e')`, then `col_idx[perm[j]] == e` within row `e'`.
-    transpose_perm: Vec<u32>,
 }
 
 impl OverlapMatrix {
@@ -95,9 +95,8 @@ impl OverlapMatrix {
     /// phase 1 counts each row's nonzeros through a per-A-endpoint
     /// multiplicity table, phase 2 marks `N_B(v)` and fills the final
     /// CSR slices directly (already sorted and duplicate-free — see the
-    /// module docs), balanced by merge plans, and a serial counting pass
-    /// builds the transpose permutation. Produces output identical to
-    /// [`OverlapMatrix::build_reference`].
+    /// module docs), balanced by merge plans. Produces output identical
+    /// to [`OverlapMatrix::build_reference`].
     pub fn build(a: &CsrGraph, b: &CsrGraph, l: &BipartiteGraph) -> Self {
         let t0 = std::time::Instant::now();
         let _span = cualign_telemetry::global().span("overlap.build");
@@ -220,26 +219,6 @@ impl OverlapMatrix {
                 .unwrap_or(0);
         let squares_checked = count_checks + fill_checks;
 
-        // Transpose permutation: nonzero j at (row, col) ↦ index of (col,
-        // row), in one counting pass. Rows are visited in ascending
-        // order and the pattern is symmetric, so the k-th nonzero met in
-        // column `col` comes from the k-th smallest row holding `col`,
-        // whose mirror is the k-th entry of row `col`: a cursor per row,
-        // starting at its offset, hands out the mirrors in order.
-        let mut cursor: Vec<u32> = row_offsets[..m].iter().map(|&o| o as u32).collect();
-        let transpose_perm: Vec<u32> = col_idx
-            .iter()
-            .map(|&col| {
-                let slot = &mut cursor[col as usize];
-                *slot += 1;
-                *slot - 1
-            })
-            .collect();
-        debug_assert!(
-            (0..m).all(|r| cursor[r] as usize == row_offsets[r + 1]),
-            "overlap matrix not structurally symmetric"
-        );
-
         let reg = cualign_telemetry::global();
         reg.counter("overlap.builds").inc();
         reg.counter("overlap.squares_checked").add(squares_checked);
@@ -249,7 +228,6 @@ impl OverlapMatrix {
         OverlapMatrix {
             row_offsets,
             col_idx,
-            transpose_perm,
         }
     }
 
@@ -257,9 +235,8 @@ impl OverlapMatrix {
     /// enumeration through `edge_id` probes, then sort + dedup), kept
     /// verbatim as the pinned oracle for [`OverlapMatrix::build`]
     /// (`docs/oracle_manifest.txt`): both must produce identical
-    /// offsets, column indices, and transpose permutations. Records no
-    /// telemetry — it exists for equivalence tests and as the
-    /// `bench_bp` baseline.
+    /// offsets and column indices. Records no telemetry — it exists for
+    /// equivalence tests and as the `bench_bp` baseline.
     pub fn build_reference(a: &CsrGraph, b: &CsrGraph, l: &BipartiteGraph) -> Self {
         let m = l.num_edges();
         // Row e = (u, v): for every neighbor u' of u and v' of v, the edge
@@ -288,26 +265,9 @@ impl OverlapMatrix {
             row_offsets.push(nnz);
         }
         let col_idx: Vec<EdgeId> = rows.into_iter().flatten().collect();
-
-        // Transpose permutation: nonzero j at (row, col) ↦ index of (col,
-        // row). Symmetry of the pattern guarantees the mirror exists.
-        let transpose_perm: Vec<u32> = par::flat_map(m, MIN_ROWS, |row, out| {
-            for j in row_offsets[row]..row_offsets[row + 1] {
-                let col = col_idx[j] as usize;
-                let cs = row_offsets[col];
-                let ce = row_offsets[col + 1];
-                let pos = col_idx[cs..ce]
-                    .binary_search(&(row as EdgeId))
-                    // lint: allow(no-panic): the row construction above inserts (u',v') iff (v',u') is also inserted, so the pattern is structurally symmetric by construction
-                    .expect("overlap matrix not structurally symmetric");
-                out.push((cs + pos) as u32);
-            }
-        });
-
         OverlapMatrix {
             row_offsets,
             col_idx,
-            transpose_perm,
         }
     }
 
@@ -347,10 +307,54 @@ impl OverlapMatrix {
         self.row_offsets[e as usize + 1] - self.row_offsets[e as usize]
     }
 
-    /// The transpose permutation (see struct docs).
-    #[inline]
-    pub fn transpose_perm(&self) -> &[u32] {
-        &self.transpose_perm
+    /// The transpose permutation, computed on demand: `perm[j]` is the
+    /// flat index of nonzero `j`'s mirror — if `j` sits at `(e, e')`,
+    /// then `perm[j]` sits at `(e', e)`. An involution. One counting
+    /// pass: rows are visited in ascending order and the pattern is
+    /// symmetric, so the k-th nonzero met in column `col` comes from the
+    /// k-th smallest row holding `col`, whose mirror is the k-th entry
+    /// of row `col` — a cursor per row, starting at its offset, hands
+    /// out the mirrors in order. Identical to
+    /// [`OverlapMatrix::transpose_perm_reference`].
+    pub fn transpose_perm(&self) -> Vec<u32> {
+        let m = self.num_rows();
+        let mut cursor: Vec<u32> = self.row_offsets[..m].iter().map(|&o| o as u32).collect();
+        let perm: Vec<u32> = self
+            .col_idx
+            .iter()
+            .map(|&col| {
+                let slot = &mut cursor[col as usize];
+                *slot += 1;
+                *slot - 1
+            })
+            .collect();
+        debug_assert!(
+            (0..m).all(|r| cursor[r] as usize == self.row_offsets[r + 1]),
+            "overlap matrix not structurally symmetric"
+        );
+        perm
+    }
+
+    /// The original transpose construction — a binary search for each
+    /// nonzero's mirror in the mirror's row — kept as the pinned oracle
+    /// for [`OverlapMatrix::transpose_perm`] (`docs/oracle_manifest.txt`).
+    ///
+    /// # Panics
+    /// Panics if the pattern is not structurally symmetric.
+    pub fn transpose_perm_reference(&self) -> Vec<u32> {
+        let (row_offsets, col_idx) = (&self.row_offsets, &self.col_idx);
+        par::flat_map(self.num_rows(), MIN_ROWS, |row, out| {
+            for j in row_offsets[row]..row_offsets[row + 1] {
+                let col = col_idx[j] as usize;
+                let cs = row_offsets[col];
+                let ce = row_offsets[col + 1];
+                let pos = col_idx[cs..ce]
+                    .binary_search(&(row as EdgeId))
+                    // lint: allow(no-panic): both constructions insert (u',v') iff (v',u') is also inserted, so the pattern is structurally symmetric by construction
+                    .expect("overlap matrix not structurally symmetric");
+                out.push((cs + pos) as u32);
+            }
+        })
     }
 
     /// Whether nonzero `(e, e')` exists, i.e. the two edges overlap.
@@ -383,26 +387,31 @@ impl OverlapMatrix {
         pairs / 2
     }
 
-    /// Validates structural symmetry and that `transpose_perm` is a
-    /// consistent involution.
+    /// Validates structural symmetry and that
+    /// [`transpose_perm`](Self::transpose_perm) is a consistent
+    /// involution.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.num_rows();
         for e in 0..n {
-            let (s, t) = (self.row_offsets[e], self.row_offsets[e + 1]);
-            let row = &self.col_idx[s..t];
+            let row = self.row(e as EdgeId);
             if !row.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("row {e} not strictly sorted"));
             }
-            for j in s..t {
-                let e2 = self.col_idx[j];
+            for &e2 in row {
                 if !self.overlaps(e2, e as EdgeId) {
                     return Err(format!("asymmetric nonzero ({e}, {e2})"));
                 }
-                let p = self.transpose_perm[j] as usize;
+            }
+        }
+        // Only a symmetric pattern has a transpose permutation.
+        let perm = self.transpose_perm();
+        for e in 0..n {
+            for j in self.row_offsets[e]..self.row_offsets[e + 1] {
+                let p = perm[j] as usize;
                 if self.col_idx[p] != e as EdgeId {
                     return Err(format!("perm[{j}] does not point at the mirror"));
                 }
-                if self.transpose_perm[p] as usize != j {
+                if perm[p] as usize != j {
                     return Err(format!("perm not an involution at {j}"));
                 }
             }

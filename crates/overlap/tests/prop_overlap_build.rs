@@ -1,8 +1,9 @@
 //! Pins the two-phase masked-SpGEMM `OverlapMatrix::build` to the
-//! original serial `build_reference`: exact equality of the full CSR
-//! (row offsets, column indices, transpose permutation), not just nnz.
-//! The construction is pure structure (no floating point), so equality
-//! is exact by contract.
+//! original serial `build_reference` — exact equality of the full CSR
+//! (row offsets, column indices), not just nnz — and the counting-pass
+//! `transpose_perm` to the per-nonzero binary search of
+//! `transpose_perm_reference`. Both are pure structure (no floating
+//! point), so equality is exact by contract.
 
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::{BipartiteGraph, CsrGraph, Permutation, VertexId};
@@ -37,7 +38,7 @@ fn assert_builds_agree(a: &CsrGraph, b: &CsrGraph, l: &BipartiteGraph) {
     assert_eq!(fast.nnz(), slow.nnz());
     assert_eq!(fast.row_offsets(), slow.row_offsets());
     assert_eq!(fast.col_indices(), slow.col_indices());
-    assert_eq!(fast.transpose_perm(), slow.transpose_perm());
+    assert_eq!(fast.transpose_perm(), slow.transpose_perm_reference());
     fast.check_invariants().expect("fast build invariants");
 }
 
