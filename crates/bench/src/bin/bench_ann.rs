@@ -25,7 +25,7 @@
 //!    `CUALIGN_ANN_RECALL_MIN` (default `0.9`).
 //! 2. **Downstream delta** — one seeded permuted-pair ER instance at
 //!    `CUALIGN_ANN_PIPE_VERTICES` (default `20000`), the flat pipeline
-//!    run once with exact union-kNN and once with `SparsifyMethod::Ann`
+//!    run once with exact union-kNN and once with `SparsityChoice::Ann`
 //!    at the best grid cell's knobs; ANN node correctness may trail the
 //!    exact run's by at most `CUALIGN_ANN_NC_TOL` (default `0.02`).
 //! 3. **Million-vertex end-to-end** — `--multilevel` alignment of an ER

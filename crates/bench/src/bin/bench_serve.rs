@@ -82,15 +82,14 @@ fn main() {
         std::env::var("CUALIGN_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_string());
 
     let registry: &'static Registry = Box::leak(Box::new(Registry::new_enabled()));
-    let server = Server::start_with_registry(
-        ServerConfig {
+    let server = cualign_telemetry::with_registry(registry, || {
+        Server::start(ServerConfig {
             workers,
             sessions: pairs + 1,
             queue_capacity: clients * 4,
             ..ServerConfig::default()
-        },
-        registry,
-    )
+        })
+    })
     .expect("bind ephemeral port");
     let addr = server.addr();
     println!("bench_serve: server on {addr}, n = {n}, {pairs} pairs, {clients} clients x {repeats} repeats, {workers} workers");

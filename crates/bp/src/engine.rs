@@ -11,7 +11,7 @@ use cualign_matching::{
 use cualign_overlap::OverlapMatrix;
 use cualign_rt::par;
 use cualign_telemetry::{Counter, Histogram};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Edges per block of the sweep's edge-indexed gather pass.
 const EDGE_BLOCK: usize = 4096;
@@ -19,8 +19,9 @@ const EDGE_BLOCK: usize = 4096;
 /// Rows per parallel run in the reference sweep's per-row loops.
 const MIN_ROWS: usize = 1024;
 
-/// Interned telemetry handles, resolved once per process so the per-sweep
-/// updates in [`BpEngine::iterate`] touch only atomics.
+/// Telemetry handles, resolved from the current registry once per
+/// engine so the per-sweep updates in [`BpEngine::iterate`] touch only
+/// atomics.
 struct BpTele {
     runs: Arc<Counter>,
     iterations: Arc<Counter>,
@@ -30,10 +31,9 @@ struct BpTele {
     sweep_seconds: Arc<Histogram>,
 }
 
-fn bp_tele() -> &'static BpTele {
-    static TELE: OnceLock<BpTele> = OnceLock::new();
-    TELE.get_or_init(|| {
-        let r = cualign_telemetry::global();
+impl BpTele {
+    fn current() -> Self {
+        let r = cualign_telemetry::current();
         BpTele {
             runs: r.counter("bp.runs"),
             iterations: r.counter("bp.iterations"),
@@ -42,7 +42,7 @@ fn bp_tele() -> &'static BpTele {
             residual: r.histogram("bp.residual"),
             sweep_seconds: r.histogram("bp.sweep_seconds"),
         }
-    })
+    }
 }
 
 /// Which matcher rounds the messages each iteration (Algorithm 2,
@@ -62,18 +62,6 @@ pub enum MatcherKind {
     Suitor,
 }
 
-/// How the damping factor evolves over iterations (Algorithm 2,
-/// lines 14–16 use `γᵏ`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DampingSchedule {
-    /// The paper's schedule: iteration `k` mixes with factor `γᵏ`, so the
-    /// update weight decays and the messages are forced to converge.
-    PowerDecay,
-    /// Classic constant damping: every iteration mixes with factor `γ`.
-    /// Bayati et al.'s alternative; keeps exploring but may oscillate.
-    Constant,
-}
-
 /// Belief propagation configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BpConfig {
@@ -81,15 +69,15 @@ pub struct BpConfig {
     pub alpha: f64,
     /// Weight of the quadratic (overlap) objective term.
     pub beta: f64,
-    /// Damping base γ ∈ (0, 1]; iteration `k` mixes with factor `γᵏ`.
+    /// Damping base γ ∈ (0, 1]; iteration `k` mixes with factor `γᵏ`
+    /// (Algorithm 2, lines 14–16), so the update weight decays and the
+    /// messages are forced to converge.
     pub gamma: f64,
     /// Number of BP iterations (BP has no natural stopping criterion; the
     /// paper fixes the count and keeps the best rounding seen).
     pub max_iters: usize,
     /// Rounding matcher.
     pub matcher: MatcherKind,
-    /// Damping schedule.
-    pub damping: DampingSchedule,
     /// Warm start: initialize the damped exclusivity messages `yᵖ`/`zᵖ`
     /// from the similarity prior `α·w` instead of zero, so the very
     /// first sweep already penalizes contested pairs by their
@@ -108,15 +96,14 @@ impl Default for BpConfig {
             gamma: 0.99,
             max_iters: 25,
             matcher: MatcherKind::Suitor,
-            damping: DampingSchedule::PowerDecay,
             warm_start: false,
         }
     }
 }
 
 /// Convergence statistics of one message update, computed by reductions
-/// folded into the sweep's own passes (no extra scan), so every sweep
-/// has them whether or not telemetry records them.
+/// folded into the sweep's own passes (no extra scan), and recorded as
+/// `bp.residual` and `bp.clamp_saturations` after every sweep.
 ///
 /// The passes fold the undamped `|c − p|` and [`BpEngine::iterate`]
 /// scales the max by `γ` once per sweep: rounding is monotone, so
@@ -242,6 +229,7 @@ pub struct BpEngine<'a> {
     om_ws: OthermaxWorkspace,
     /// Statistics of the most recent sweep.
     last_sweep: SweepStats,
+    tele: BpTele,
 }
 
 impl<'a> BpEngine<'a> {
@@ -314,6 +302,7 @@ impl<'a> BpEngine<'a> {
             plan: MergePlan::new(offsets),
             om_ws: OthermaxWorkspace::new(l),
             last_sweep: SweepStats::default(),
+            tele: BpTele::current(),
         }
     }
 
@@ -363,8 +352,8 @@ impl<'a> BpEngine<'a> {
 
     /// One full message update (Algorithm 2, lines 9–16). Does not round.
     ///
-    /// Executes on the `linalg::sparse` kernel layer, one path whatever
-    /// the telemetry mode: the A-side othermax sweep is an
+    /// Executes on the `linalg::sparse` kernel layer, one path: the
+    /// A-side othermax sweep is an
     /// [`sparse::exclusion_max_apply`] writing the damped `zᶜ`/`zᵖ`
     /// directly (side-A positions are edge ids), the B-side is a
     /// positional [exclusion max](sparse::exclusion_max) whose per-edge
@@ -374,8 +363,7 @@ impl<'a> BpEngine<'a> {
     /// sweep's `F` from the carried transpose, damps `Sᵖ` and its
     /// transpose in place, and sums the next sweep's `dᶜ` (Listing 1's
     /// row sum, one sweep ahead). The passes fold the sweep's
-    /// [`SweepStats`] as max/count reductions; telemetry only decides
-    /// whether they are recorded. A sweep allocates nothing
+    /// [`SweepStats`] as max/count reductions. A sweep allocates nothing
     /// proportional to the instance. Bitwise identical to
     /// [`BpEngine::iterate_reference`] (pinned in
     /// `docs/oracle_manifest.txt`).
@@ -396,11 +384,8 @@ impl<'a> BpEngine<'a> {
         // the consuming `yᶜ`/`yᵖ` pass.
         self.om_ws.cols_positional(&self.l, &self.zp);
 
-        // Damping (lines 14–16): the paper's γᵏ power decay, or constant γ.
-        let g = match self.cfg.damping {
-            DampingSchedule::PowerDecay => self.cfg.gamma.powi(self.iter as i32),
-            DampingSchedule::Constant => self.cfg.gamma,
-        };
+        // Damping (lines 14–16): the paper's γᵏ power decay.
+        let g = self.cfg.gamma.powi(self.iter as i32);
         // Each damped pass below folds `|c − p|`, taken before `p` is
         // overwritten, into the sweep's max-reduction; the max is
         // scaled by γ once at the end. Here and below the kernel
@@ -573,11 +558,8 @@ impl<'a> BpEngine<'a> {
             });
         }
 
-        // Damping (lines 14–16): the paper's γᵏ power decay, or constant γ.
-        let g = match self.cfg.damping {
-            DampingSchedule::PowerDecay => self.cfg.gamma.powi(self.iter as i32),
-            DampingSchedule::Constant => self.cfg.gamma,
-        };
+        // Damping (lines 14–16): the paper's γᵏ power decay.
+        let g = self.cfg.gamma.powi(self.iter as i32);
 
         // Sweep statistics: plain scans over the pre-damp messages — the
         // oracle for the reductions `iterate` folds into its passes.
@@ -608,20 +590,15 @@ impl<'a> BpEngine<'a> {
         self.finish_sweep(stats, t0);
     }
 
-    /// Ends a sweep: keeps its statistics and ticks the telemetry. The
-    /// counters are plain atomics and always tick; the statistics are
-    /// recorded only when telemetry is enabled — the one telemetry-gated
-    /// step of a sweep, and it writes no engine state.
+    /// Ends a sweep: keeps its statistics and records them.
     fn finish_sweep(&mut self, stats: SweepStats, t0: std::time::Instant) {
         self.last_sweep = stats;
-        let tele = bp_tele();
+        let tele = &self.tele;
         tele.iterations.inc();
         tele.messages_updated
             .add((5 * self.yc.len() + 3 * self.sp.len()) as u64);
-        if cualign_telemetry::enabled() {
-            tele.clamp_saturations.add(stats.saturated);
-            tele.residual.record(stats.residual);
-        }
+        tele.clamp_saturations.add(stats.saturated);
+        tele.residual.record(stats.residual);
         tele.sweep_seconds.record(t0.elapsed().as_secs_f64());
     }
 
@@ -663,8 +640,8 @@ impl<'a> BpEngine<'a> {
     /// ("take the best solution we find in any step of the computation").
     pub fn run(mut self) -> BpOutcome {
         assert!(self.cfg.max_iters > 0, "need at least one iteration");
-        bp_tele().runs.inc();
-        let _span = cualign_telemetry::global().span("bp.run");
+        self.tele.runs.inc();
+        let _span = cualign_telemetry::current().span("bp.run");
         let mut history = Vec::with_capacity(self.cfg.max_iters + 1);
         let mut best: Option<(Matching, f64, f64, usize, usize)> = {
             self.l.set_weights(&self.w0);

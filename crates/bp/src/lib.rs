@@ -45,12 +45,9 @@ pub mod engine;
 pub mod mr;
 pub mod othermax;
 
-pub use engine::{
-    BpConfig, BpEngine, BpOutcome, DampingSchedule, IterationRecord, MatcherKind, SweepStats,
-};
+pub use engine::{BpConfig, BpEngine, BpOutcome, IterationRecord, MatcherKind, SweepStats};
 pub use mr::{mr_align, MrConfig, MrOutcome};
 
-use cualign_graph::BipartiteGraph;
 use cualign_matching::Matching;
 use cualign_overlap::OverlapMatrix;
 
@@ -70,16 +67,4 @@ pub fn evaluate_matching(
     let weight: f64 = m.edge_ids().iter().map(|&e| weights[e as usize]).sum();
     let overlaps = s.count_matched_overlaps(m.edge_ids());
     (alpha * weight + beta * overlaps as f64, weight, overlaps)
-}
-
-/// Convenience: builds `S` and runs BP with the given configuration,
-/// returning the outcome. See [`BpEngine`] for step-level control.
-pub fn align_with_bp(
-    a: &cualign_graph::CsrGraph,
-    b: &cualign_graph::CsrGraph,
-    l: &BipartiteGraph,
-    cfg: &BpConfig,
-) -> BpOutcome {
-    let s = OverlapMatrix::build(a, b, l);
-    BpEngine::new(l, &s, cfg).run()
 }

@@ -11,108 +11,58 @@
 //! These are the exclusivity messages: for edge `(a, b)`, "the best the
 //! rest of `a`'s (resp. `b`'s) candidates could do without me".
 //!
-//! The sweeps execute on [`cualign_linalg::sparse::exclusion_max`]: one
-//! merge-balanced grouped pass over the side-CSR writing *positional*
-//! outputs (entry `p` of the side's incidence array), plus a precomputed
-//! inverse position map to read the result back per edge id. All
+//! The BP engine's sweeps execute on the `linalg::sparse` exclusion
+//! kernels, one merge-balanced grouped pass over a side-CSR each: the
+//! A side on [`cualign_linalg::sparse::exclusion_max_apply`] (side-A
+//! positions are edge ids, so the outputs are the message arrays), the
+//! B side on [`cualign_linalg::sparse::exclusion_max`] writing
+//! *positional* outputs (entry `p` of the side's incidence array) read
+//! back per edge id through a precomputed inverse position map. All
 //! buffers live in an [`OthermaxWorkspace`] so repeated sweeps allocate
 //! nothing. The original collect-and-apply implementation is kept as
-//! [`othermax_rows_reference`] / [`othermax_cols_reference`] — the
-//! pinned oracles of `docs/oracle_manifest.txt`; the selection order is
-//! identical, so agreement is bitwise.
+//! [`othermax_rows_reference`] / [`othermax_cols_reference`], which
+//! `BpEngine::iterate_reference` runs; the selection order is identical,
+//! so the engine's sweep agrees bitwise (the `engine::iterate` and
+//! `sparse::exclusion_max{,_apply}` rows of `docs/oracle_manifest.txt`).
 
 use cualign_graph::{BipartiteGraph, Side, VertexId};
 use cualign_linalg::sparse::{exclusion_max, exclusion_max_apply, MergePlan, Monoid};
 use cualign_rt::par;
 
-/// Computes othermax over one group (slice of edge ids) of `values`,
-/// writing results into `out` at the same ids.
-#[inline]
-fn othermax_group(edge_ids: &[u32], values: &[f64], out: &mut [f64]) {
-    match edge_ids.len() {
-        0 => {}
-        1 => out[edge_ids[0] as usize] = 0.0,
-        _ => {
-            // One pass for max and second max (ties: two entries equal to
-            // the max mean everyone's "othermax" is the max itself, which
-            // falls out of tracking first-argmax + runner-up).
-            let mut max1 = f64::NEG_INFINITY;
-            let mut pos1 = 0usize;
-            let mut max2 = f64::NEG_INFINITY;
-            for (i, &e) in edge_ids.iter().enumerate() {
-                let v = values[e as usize];
-                if v > max1 {
-                    max2 = max1;
-                    max1 = v;
-                    pos1 = i;
-                } else if v > max2 {
-                    max2 = v;
-                }
-            }
-            for (i, &e) in edge_ids.iter().enumerate() {
-                out[e as usize] = if i == pos1 { max2 } else { max1 };
-            }
-        }
-    }
-}
-
-/// Reusable buffers and merge plans for the othermax sweeps: one
-/// positional scratch per side (sized `|E_L|`; the BP engine parks its
+/// Reusable buffers and merge plans for the othermax sweeps: the
+/// B-side positional scratch (sized `|E_L|`; the BP engine parks its
 /// B-side exclusion there until the fused `yᶜ`/`yᵖ` gather+damp pass
-/// consumes it), the per-side inverse position maps, and one
+/// consumes it), the B-side inverse position map, and one
 /// [`MergePlan`] per side-CSR. Build once per `L`, reuse every sweep.
 pub struct OthermaxWorkspace {
-    scratch_a: Vec<f64>,
     scratch_b: Vec<f64>,
-    pos_a: Vec<u32>,
     pos_b: Vec<u32>,
     plan_a: MergePlan,
     plan_b: MergePlan,
 }
 
 impl OthermaxWorkspace {
-    /// Builds the workspace for `l`: inverse position maps (`pos[e]` =
-    /// position of edge `e` in the side's incidence array) and the
-    /// merge plans over both side-CSRs.
+    /// Builds the workspace for `l`: the B-side inverse position map
+    /// (`pos[e]` = position of edge `e` in the B-side incidence array)
+    /// and the merge plans over both side-CSRs.
     pub fn new(l: &BipartiteGraph) -> Self {
         let m = l.num_edges();
-        let mut pos_a = vec![0u32; m];
-        for (p, &e) in l.eids(Side::A).iter().enumerate() {
-            pos_a[e as usize] = p as u32;
-        }
         let mut pos_b = vec![0u32; m];
         for (p, &e) in l.eids(Side::B).iter().enumerate() {
             pos_b[e as usize] = p as u32;
         }
         OthermaxWorkspace {
-            scratch_a: vec![0.0; m],
             scratch_b: vec![0.0; m],
-            pos_a,
             pos_b,
             plan_a: MergePlan::new(l.offsets(Side::A)),
             plan_b: MergePlan::new(l.offsets(Side::B)),
         }
     }
 
-    /// Runs the A-side (per-row) exclusion max of `values` into the
-    /// A-side positional scratch. Returns `(scratch, pos_a)`: the
-    /// othermax of edge `e` is `scratch[pos_a[e]]` — callers fuse the
-    /// gather into their consuming pass. The B-side scratch is left
-    /// untouched.
-    pub fn rows_positional(&mut self, l: &BipartiteGraph, values: &[f64]) -> (&[f64], &[u32]) {
-        exclusion_max(
-            l.offsets(Side::A),
-            &self.plan_a,
-            l.eids(Side::A),
-            values,
-            &mut self.scratch_a,
-        );
-        (&self.scratch_a, &self.pos_a)
-    }
-
-    /// B-side (per-column) counterpart of
-    /// [`OthermaxWorkspace::rows_positional`], writing the B-side
-    /// scratch.
+    /// Runs the B-side (per-column) exclusion max of `values` into the
+    /// B-side positional scratch. Returns `(scratch, pos_b)`: the
+    /// othermax of edge `e` is `scratch[pos_b[e]]` — callers fuse the
+    /// gather into their consuming pass.
     pub fn cols_positional(&mut self, l: &BipartiteGraph, values: &[f64]) -> (&[f64], &[u32]) {
         exclusion_max(
             l.offsets(Side::B),
@@ -160,54 +110,16 @@ impl OthermaxWorkspace {
     }
 }
 
-/// `othermaxrow`: groups are the A-side rows (edges sharing an A vertex).
-/// Allocation-free variant over a caller-held [`OthermaxWorkspace`].
-pub fn othermax_rows_with(
-    l: &BipartiteGraph,
-    ws: &mut OthermaxWorkspace,
-    values: &[f64],
-    out: &mut [f64],
-) {
-    assert_eq!(values.len(), l.num_edges(), "message length mismatch");
-    assert_eq!(out.len(), l.num_edges(), "output length mismatch");
-    let (scratch, pos) = ws.rows_positional(l, values);
-    par::map(out, par::WORK_PER_RUN, |i| scratch[pos[i] as usize]);
-}
-
-/// `othermaxcol`: groups are the B-side rows (edges sharing a B vertex).
-/// Allocation-free variant over a caller-held [`OthermaxWorkspace`].
-pub fn othermax_cols_with(
-    l: &BipartiteGraph,
-    ws: &mut OthermaxWorkspace,
-    values: &[f64],
-    out: &mut [f64],
-) {
-    assert_eq!(values.len(), l.num_edges(), "message length mismatch");
-    assert_eq!(out.len(), l.num_edges(), "output length mismatch");
-    let (scratch, pos) = ws.cols_positional(l, values);
-    par::map(out, par::WORK_PER_RUN, |i| scratch[pos[i] as usize]);
-}
-
-/// `othermaxrow` with a throwaway workspace (convenience / benches; the
-/// BP engine holds a persistent [`OthermaxWorkspace`] instead).
-pub fn othermax_rows(l: &BipartiteGraph, values: &[f64], out: &mut [f64]) {
-    let mut ws = OthermaxWorkspace::new(l);
-    othermax_rows_with(l, &mut ws, values, out)
-}
-
-/// `othermaxcol` with a throwaway workspace.
-pub fn othermax_cols(l: &BipartiteGraph, values: &[f64], out: &mut [f64]) {
-    let mut ws = OthermaxWorkspace::new(l);
-    othermax_cols_with(l, &mut ws, values, out)
-}
-
-/// Pinned oracle for [`othermax_rows`]: the original collect-and-apply
-/// implementation (per-group scratch allocation + serial write-back).
+/// `othermaxrow` (groups are the edges sharing an A vertex): the
+/// original collect-and-apply implementation (per-group scratch
+/// allocation + serial write-back), the oracle of the engine's A-side
+/// exclusion pass.
 pub fn othermax_rows_reference(l: &BipartiteGraph, values: &[f64], out: &mut [f64]) {
     othermax_side_reference(l, Side::A, values, out)
 }
 
-/// Pinned oracle for [`othermax_cols`].
+/// `othermaxcol` (groups are the edges sharing a B vertex), the
+/// counterpart of [`othermax_rows_reference`].
 pub fn othermax_cols_reference(l: &BipartiteGraph, values: &[f64], out: &mut [f64]) {
     othermax_side_reference(l, Side::B, values, out)
 }
@@ -258,12 +170,6 @@ fn othermax_side_reference(l: &BipartiteGraph, side: Side, values: &[f64], out: 
     }
 }
 
-/// Single-group reference used by tests (exposed for the GPU-simulator
-/// kernels, which process one virtual-warp group at a time).
-pub fn othermax_single_group(edge_ids: &[u32], values: &[f64], out: &mut [f64]) {
-    othermax_group(edge_ids, values, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,12 +183,22 @@ mod tests {
         )
     }
 
+    /// `othermaxrow` of `vals` over one A vertex adjacent to one B vertex
+    /// per value: a single group holding every edge.
+    fn single_group(vals: &[f64]) -> Vec<f64> {
+        let triples: Vec<(u32, u32, f64)> = (0..vals.len() as u32).map(|b| (0, b, 1.0)).collect();
+        let l = BipartiteGraph::from_weighted_edges(1, vals.len(), &triples);
+        let mut out = vec![0.0; vals.len()];
+        othermax_rows_reference(&l, vals, &mut out);
+        out
+    }
+
     #[test]
     fn rows_exclude_self_max() {
         let l = sample_l();
         let vals = vec![5.0, 3.0, 4.0, 7.0];
         let mut out = vec![0.0; 4];
-        othermax_rows(&l, &vals, &mut out);
+        othermax_rows_reference(&l, &vals, &mut out);
         // A0's row = {e0:5, e1:3, e2:4}: argmax e0 → second max 4; others → 5.
         assert_eq!(out[0], 4.0);
         assert_eq!(out[1], 5.0);
@@ -296,7 +212,7 @@ mod tests {
         let l = sample_l();
         let vals = vec![5.0, 3.0, 4.0, 7.0];
         let mut out = vec![0.0; 4];
-        othermax_cols(&l, &vals, &mut out);
+        othermax_cols_reference(&l, &vals, &mut out);
         // B0's column = {e0:5, e3:7}: e0 → 7, e3 → 5.
         assert_eq!(out[0], 7.0);
         assert_eq!(out[3], 5.0);
@@ -307,47 +223,12 @@ mod tests {
 
     #[test]
     fn ties_give_max_to_both() {
-        let ids = [0u32, 1, 2];
-        let vals = [9.0, 9.0, 1.0];
-        let mut out = vec![0.0; 3];
-        othermax_single_group(&ids, &vals, &mut out);
-        assert_eq!(out, vec![9.0, 9.0, 9.0]);
+        assert_eq!(single_group(&[9.0, 9.0, 1.0]), vec![9.0, 9.0, 9.0]);
     }
 
     #[test]
     fn negative_values_keep_semantics() {
-        let ids = [0u32, 1];
-        let vals = [-2.0, -5.0];
-        let mut out = vec![0.0; 2];
-        othermax_single_group(&ids, &vals, &mut out);
-        assert_eq!(out[0], -5.0);
-        assert_eq!(out[1], -2.0);
-    }
-
-    #[test]
-    fn fast_paths_match_references_bitwise() {
-        use cualign_rt::Rng;
-        let mut rng = Rng::new(11);
-        let triples: Vec<(u32, u32, f64)> = (0..200)
-            .map(|_| (rng.below(20) as u32, rng.below(20) as u32, 1.0))
-            .collect();
-        let l = BipartiteGraph::from_weighted_edges(20, 20, &triples);
-        let vals: Vec<f64> = (0..l.num_edges()).map(|_| rng.f64() * 4.0 - 2.0).collect();
-        let mut ws = OthermaxWorkspace::new(&l);
-        let m = l.num_edges();
-        let (mut fast, mut slow) = (vec![0.0; m], vec![0.0; m]);
-        othermax_rows_with(&l, &mut ws, &vals, &mut fast);
-        othermax_rows_reference(&l, &vals, &mut slow);
-        assert_eq!(
-            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        othermax_cols_with(&l, &mut ws, &vals, &mut fast);
-        othermax_cols_reference(&l, &vals, &mut slow);
-        assert_eq!(
-            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(single_group(&[-2.0, -5.0]), vec![-5.0, -2.0]);
     }
 
     #[test]
@@ -359,8 +240,8 @@ mod tests {
             .collect();
         let l = BipartiteGraph::from_weighted_edges(15, 15, &triples);
         let vals: Vec<f64> = (0..l.num_edges()).map(|_| rng.f64() * 4.0 - 2.0).collect();
-        let mut fast = vec![0.0; vals.len()];
-        othermax_rows(&l, &vals, &mut fast);
+        let mut got = vec![0.0; vals.len()];
+        othermax_rows_reference(&l, &vals, &mut got);
         // Naive recomputation.
         for a in 0..15u32 {
             let ids = l.row_a(a);
@@ -372,7 +253,7 @@ mod tests {
                     .collect();
                 let want = other.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
                 let want = if other.is_empty() { 0.0 } else { want };
-                assert!((fast[e as usize] - want).abs() < 1e-12);
+                assert!((got[e as usize] - want).abs() < 1e-12);
             }
         }
     }

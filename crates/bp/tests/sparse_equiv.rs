@@ -1,25 +1,22 @@
 //! Pins the merge-balanced BP sweep (`BpEngine::iterate`, routed through
-//! `linalg::sparse`) to the original serial loops (`iterate_reference`),
-//! bit for bit — message state and sweep statistics, with telemetry off
-//! and on — and the positional othermax fast paths to their
-//! collect-and-apply references. Also checks the full pipeline: the fast
-//! and reference overlap builds plus BP runs agree on `overlap.nnz` and
-//! produce identical matchings on a fixed seed pair.
+//! `linalg::sparse`) to the original serial loops (`iterate_reference`,
+//! which runs the collect-and-apply othermax references), bit for bit —
+//! message state and the recorded sweep statistics, with span capture
+//! off and on. Also checks the full pipeline: the fast and reference
+//! overlap builds plus BP runs agree on `overlap.nnz` and produce
+//! identical matchings on a fixed seed pair.
 
-use cualign_bp::othermax::{
-    othermax_cols, othermax_cols_reference, othermax_rows, othermax_rows_reference,
-};
-use cualign_bp::{evaluate_matching, BpConfig, BpEngine, DampingSchedule, SweepStats};
+use cualign_bp::{evaluate_matching, BpConfig, BpEngine, SweepStats};
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::{BipartiteGraph, CsrGraph, Permutation, VertexId};
 use cualign_matching::locally_dominant_parallel;
 use cualign_overlap::OverlapMatrix;
 use cualign_rt::Rng;
+use cualign_telemetry::Registry;
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes the tests of this file that run BP sweeps: the telemetry
-/// switch and the `bp.*` metrics are process-global, and the lockstep
-/// reads exact per-sweep deltas from them.
+/// switch is process-global.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -92,10 +89,11 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// Drive a fast engine and a reference engine in lockstep and demand
 /// bitwise-identical message state and [`SweepStats`] after every
 /// sweep; the fast engine's transposed `Sᵖ` must equal the reference's
-/// `Sᵖ` gathered through the transpose permutation. With `telemetry` on, each sweep must also record exactly its
-/// statistics — one `bp.residual` sample and its `bp.clamp_saturations`
-/// increment — so the two engines' recorded samples are equal; with it
-/// off, neither engine may record them.
+/// `Sᵖ` gathered through the transpose permutation. Each sweep must
+/// also record exactly its statistics — one `bp.residual` sample and
+/// its `bp.clamp_saturations` increment, in the caller's registry — so
+/// the two engines' recorded samples are equal, whether `telemetry`
+/// (span capture) is on or off.
 fn assert_lockstep(
     a: &CsrGraph,
     b: &CsrGraph,
@@ -106,7 +104,18 @@ fn assert_lockstep(
 ) {
     let _serial = serial();
     let _telemetry = Telemetry::set(telemetry);
-    let registry = cualign_telemetry::global();
+    let registry: &'static Registry = Box::leak(Box::new(Registry::new()));
+    cualign_telemetry::with_registry(registry, || lockstep(registry, a, b, l, cfg, iters));
+}
+
+fn lockstep(
+    registry: &Registry,
+    a: &CsrGraph,
+    b: &CsrGraph,
+    l: &BipartiteGraph,
+    cfg: &BpConfig,
+    iters: usize,
+) {
     let saturations = registry.counter("bp.clamp_saturations");
     let residuals = registry.histogram("bp.residual");
     let s = OverlapMatrix::build(a, b, l);
@@ -114,31 +123,22 @@ fn assert_lockstep(
     let mut fast = BpEngine::new(l, &s, cfg);
     let mut slow = BpEngine::new(l, &s, cfg);
     // Runs one sweep, checks it recorded exactly the statistics it
-    // returns (or nothing, with telemetry off), and returns the
-    // residual sample's bucket delta.
+    // returns, and returns the residual sample's bucket delta.
     let recorded = |sweep: &mut dyn FnMut() -> SweepStats| {
         let (count0, hist0) = (saturations.get(), residuals.snapshot());
         let st = sweep();
         let (count1, hist1) = (saturations.get(), residuals.snapshot());
-        if telemetry {
-            assert_eq!(count1 - count0, st.saturated, "recorded saturation count");
-            assert_eq!(
-                hist1.count - hist0.count,
-                1,
-                "one residual sample per sweep"
-            );
-            assert_eq!(
-                hist1.sum.to_bits(),
-                (hist0.sum + st.residual).to_bits(),
-                "recorded residual sample"
-            );
-        } else {
-            assert_eq!(
-                (count1, hist1.count),
-                (count0, hist0.count),
-                "telemetry off records nothing"
-            );
-        }
+        assert_eq!(count1 - count0, st.saturated, "recorded saturation count");
+        assert_eq!(
+            hist1.count - hist0.count,
+            1,
+            "one residual sample per sweep"
+        );
+        assert_eq!(
+            hist1.sum.to_bits(),
+            (hist0.sum + st.residual).to_bits(),
+            "recorded residual sample"
+        );
         let buckets: Vec<u64> = hist1
             .buckets
             .iter()
@@ -208,16 +208,14 @@ fn iterate_matches_iterate_reference_bitwise_warm_start() {
 
 /// A β whose multiples are not exact (Σ of `deg` copies of 0.1 is not
 /// `0.1·deg`), so the first sweep's `dᶜ` must be the reference's chained
-/// row sum, not a product; with constant damping, which no other
-/// lockstep case runs.
+/// row sum, not a product.
 #[test]
-fn iterate_matches_iterate_reference_at_inexact_beta_and_constant_damping() {
+fn iterate_matches_iterate_reference_at_inexact_beta() {
     let (a, b, l) = planted_instance(40, 100, 4, 17);
     let cfg = BpConfig {
         alpha: 0.3,
         beta: 0.1,
         gamma: 0.9,
-        damping: DampingSchedule::Constant,
         ..Default::default()
     };
     assert_lockstep(&a, &b, &l, &cfg, 6, false);
@@ -230,9 +228,9 @@ fn iterate_matches_iterate_reference_on_skewed_degrees() {
     assert_lockstep(&a, &b, &l, &cfg, 6, false);
 }
 
-/// Telemetry on must not change what the sweep executes: the same three
-/// instances, in lockstep with the reference, with every sweep's
-/// recorded residual and saturation count checked as well.
+/// Telemetry on must not change what the sweep executes or records: the
+/// same three instances, in lockstep with the reference, with span
+/// capture on.
 #[test]
 fn iterate_matches_iterate_reference_with_telemetry_on() {
     let (a, b, l) = planted_instance(40, 100, 4, 11);
@@ -245,24 +243,6 @@ fn iterate_matches_iterate_reference_with_telemetry_on() {
     assert_lockstep(&a, &b, &l, &warm, 6, true);
     let (a, b, l) = skewed_instance(60, 150, 14);
     assert_lockstep(&a, &b, &l, &BpConfig::default(), 6, true);
-}
-
-#[test]
-fn othermax_fast_paths_match_references() {
-    for seed in [3u64, 4, 5] {
-        let (_, _, l) = planted_instance(30, 70, 6, seed);
-        let m = l.num_edges();
-        let mut rng = Rng::new(seed ^ 0xfeed);
-        let vals: Vec<f64> = (0..m).map(|_| rng.f64() * 2.0 - 1.0).collect();
-        let (mut fr, mut sr) = (vec![0.0; m], vec![0.0; m]);
-        othermax_rows(&l, &vals, &mut fr);
-        othermax_rows_reference(&l, &vals, &mut sr);
-        assert_eq!(bits(&fr), bits(&sr));
-        let (mut fc, mut sc) = (vec![0.0; m], vec![0.0; m]);
-        othermax_cols(&l, &vals, &mut fc);
-        othermax_cols_reference(&l, &vals, &mut sc);
-        assert_eq!(bits(&fc), bits(&sc));
-    }
 }
 
 /// Fixed seed pair, end to end: the SpGEMM-style overlap build and the

@@ -48,11 +48,6 @@ pub enum SparsityChoice {
     },
 }
 
-/// The configured sparsification rule — `SparsifyMethod::Ann` et al.
-/// (Alias of [`SparsityChoice`]: the builder/docs name for the same
-/// enum.)
-pub type SparsifyMethod = SparsityChoice;
-
 /// Full pipeline configuration. The defaults mirror the paper's preferred
 /// operating point: 2.5% density (quality plateaus at ≤10%, Fig. 4) and a
 /// fixed BP iteration budget.
@@ -375,11 +370,11 @@ impl AlignerConfigBuilder {
     /// `1..=32` and `probes <= bits` (`build()` rejects otherwise):
     ///
     /// ```
-    /// use cualign::{AlignerConfig, SparsifyMethod};
+    /// use cualign::{AlignerConfig, SparsityChoice};
     /// let cfg = AlignerConfig::builder().ann(10, 8, 12, 2).build().unwrap();
     /// assert!(matches!(
     ///     cfg.sparsity,
-    ///     SparsifyMethod::Ann { k: 10, bands: 8, bits: 12, probes: 2 }
+    ///     SparsityChoice::Ann { k: 10, bands: 8, bits: 12, probes: 2 }
     /// ));
     /// assert!(AlignerConfig::builder().ann(10, 8, 0, 0).build().is_err());
     /// assert!(AlignerConfig::builder().ann(10, 8, 4, 5).build().is_err());

@@ -62,11 +62,11 @@ pub mod session;
 
 pub use baselines::{exact_alignment, isorank_align, seed_and_expand};
 pub use conealign::{cone_align, cone_align_session, ConeAlignResult};
-pub use config::{AlignerConfig, AlignerConfigBuilder, SparsifyMethod, SparsityChoice};
+pub use config::{AlignerConfig, AlignerConfigBuilder, SparsityChoice};
 pub use cualign_sparsify::{ann_recall, AnnConfig};
 pub use error::{AlignError, GraphSide};
 pub use inputs::PaperInput;
-pub use multilevel::{align_multilevel, align_multilevel_with_registry, MultilevelConfig};
+pub use multilevel::{align_multilevel, MultilevelConfig};
 pub use pipeline::{Aligner, AlignmentResult, StageTimings};
 pub use scoring::{score_alignment, AlignmentScores};
 pub use session::{graph_pair_fingerprint, AlignmentSession, Embeddings, StageCounters};

@@ -39,7 +39,9 @@
 //! a `multilevel.level<k>.refine` parent (the band's orphan rescue
 //! nests as `multilevel.level<k>.fallback`), and per-level
 //! `multilevel.level<k>.{projected_pairs,band_edges,band_fallback,bp_matched,repaired_pairs}`
-//! counters (always-on atomics, like all registry counters).
+//! counters (always-on atomics, like all registry counters), all in the
+//! caller's [`cualign_telemetry::current`] registry together with the
+//! spans and counters of every kernel the levels run.
 //!
 //! Timing attribution in the returned [`crate::StageTimings`]: the coarse
 //! session reports its own five stages; coarsening and band
@@ -79,7 +81,6 @@ use cualign_matching::{suitor_matching, Matching};
 use cualign_overlap::OverlapMatrix;
 use cualign_rt::par;
 use cualign_sparsify::{ann_candidates, knn_candidates, AnnConfig, KnnDirection};
-use cualign_telemetry::Registry;
 
 /// Knobs of the multilevel wrapper. Constructed by
 /// [`AlignerConfig::builder`]`.multilevel(levels)` with the defaults
@@ -133,19 +134,8 @@ pub fn align_multilevel(
     b: &CsrGraph,
     cfg: &AlignerConfig,
 ) -> Result<AlignmentResult, AlignError> {
-    align_multilevel_with_registry(a, b, cfg, cualign_telemetry::global())
-}
-
-/// As [`align_multilevel`], recording into an explicit registry. Test
-/// seam mirroring [`AlignmentSession::with_registry`] — concurrent
-/// tests would otherwise see each other's global counters.
-pub fn align_multilevel_with_registry(
-    a: &CsrGraph,
-    b: &CsrGraph,
-    cfg: &AlignerConfig,
-    registry: &'static Registry,
-) -> Result<AlignmentResult, AlignError> {
     cfg.validate()?;
+    let registry = cualign_telemetry::current();
     let ml = cfg.multilevel.unwrap_or_default();
     let mut flat_cfg = cfg.clone();
     flat_cfg.multilevel = None;
@@ -163,7 +153,7 @@ pub fn align_multilevel_with_registry(
     let depth = ha.depth().min(hb.depth());
     registry.gauge("multilevel.depth").set(depth as f64);
     if depth == 0 {
-        return AlignmentSession::with_registry(a, b, flat_cfg, registry)?.align();
+        return AlignmentSession::new(a, b, flat_cfg)?.align();
     }
 
     let ga_at = |j: usize| if j == 0 { a } else { &ha.level(j - 1).graph };
@@ -180,7 +170,7 @@ pub fn align_multilevel_with_registry(
     }
     let (coarse_res, coarse_emb) = {
         let _span = registry.span("multilevel.coarse_align");
-        let mut sess = AlignmentSession::with_registry(ca, cb, coarse_cfg, registry)?;
+        let mut sess = AlignmentSession::new(ca, cb, coarse_cfg)?;
         let res = sess.align()?;
         // The aligned subspace embeddings are already cached by the run
         // above; clone them so the refinement levels can rescore band
@@ -219,7 +209,6 @@ pub fn align_multilevel_with_registry(
                 ml.band_k,
                 Some((&emb_a, &emb_b)),
                 ann.as_ref(),
-                registry,
                 j,
             )
         });
@@ -369,7 +358,7 @@ impl VoteTally {
 /// sparse neighborhood) would otherwise be unmatchable at every finer
 /// level — with embeddings they fall back to a blocked kNN query
 /// ([`cualign_sparsify::knn_candidates`]) against the B-side rows,
-/// timed as the `multilevel.level<level>.fallback` span of `registry`.
+/// timed as the `multilevel.level<level>.fallback` span.
 #[allow(clippy::too_many_arguments)]
 fn build_band(
     ga: &CsrGraph,
@@ -380,7 +369,6 @@ fn build_band(
     band_k: usize,
     embeddings: Option<(&DenseMatrix, &DenseMatrix)>,
     ann: Option<&AnnConfig>,
-    registry: &Registry,
     level: usize,
 ) -> Band {
     let na = ga.num_vertices();
@@ -477,7 +465,8 @@ fn build_band(
     let mut fallback_pairs = 0usize;
     if let Some((ea, eb)) = embeddings {
         if !orphans.is_empty() && gb.num_vertices() > 0 {
-            let _span = registry.span(&format!("multilevel.level{level}.fallback"));
+            let _span =
+                cualign_telemetry::current().span(&format!("multilevel.level{level}.fallback"));
             let mut queries = DenseMatrix::zeros(orphans.len(), ea.cols());
             for (i, &u) in orphans.iter().enumerate() {
                 queries.row_mut(i).copy_from_slice(ea.row(u as usize));
@@ -676,18 +665,7 @@ mod tests {
                 let want = reference_band(&ga, &gb, la, lb, &mapping, 5, emb);
                 for threads in [1, 2] {
                     let band = par::with_threads(threads, || {
-                        build_band(
-                            &ga,
-                            &gb,
-                            la,
-                            lb,
-                            &mapping,
-                            5,
-                            emb,
-                            None,
-                            fresh_registry(),
-                            0,
-                        )
+                        build_band(&ga, &gb, la, lb, &mapping, 5, emb, None, 0)
                     });
                     let bits = |t: &[(VertexId, VertexId, f64)]| -> Vec<(VertexId, VertexId, u64)> {
                         t.iter().map(|&(a, b, w)| (a, b, w.to_bits())).collect()
@@ -706,10 +684,6 @@ mod tests {
         }
     }
 
-    fn fresh_registry() -> &'static Registry {
-        Box::leak(Box::new(Registry::new_enabled()))
-    }
-
     fn ml_cfg(levels: usize) -> AlignerConfig {
         AlignerConfig::builder()
             .k(6)
@@ -724,8 +698,7 @@ mod tests {
         let mut rng = Rng::new(11);
         let a = erdos_renyi_gnm(400, 1600, &mut rng);
         let inst = AlignmentInstance::permuted_pair(a, &mut rng);
-        let r =
-            align_multilevel_with_registry(&inst.a, &inst.b, &ml_cfg(2), fresh_registry()).unwrap();
+        let r = align_multilevel(&inst.a, &inst.b, &ml_cfg(2)).unwrap();
         // The mapping mirrors the final matching.
         for (u, m) in r.mapping.iter().enumerate() {
             assert_eq!(*m, r.matching.mate_of_a(u as VertexId));
@@ -763,18 +736,7 @@ mod tests {
         let cn = level.graph.num_vertices();
         // Identity mapping at the coarse level.
         let mapping: Vec<Option<VertexId>> = (0..cn as VertexId).map(Some).collect();
-        let band = build_band(
-            &g,
-            &g,
-            level,
-            level,
-            &mapping,
-            8,
-            None,
-            None,
-            fresh_registry(),
-            0,
-        );
+        let band = build_band(&g, &g, level, level, &mapping, 8, None, None, 0);
         assert_eq!(band.projected_pairs, 80);
         // Every vertex's own seed set (its siblings) must appear.
         for u in 0..80u32 {

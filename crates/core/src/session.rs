@@ -24,17 +24,21 @@
 //! a `cache_hits` tick for reused artifacts.
 //!
 //! All stage timing flows through the telemetry subsystem: each build
-//! runs inside a `session.<stage>` span ([`Registry::timed`]), so with
-//! telemetry enabled the span tree carries the same numbers `StageTimings`
-//! reports, and the registry's `session.<stage>.hits`/`.misses` counters
-//! are the canonical per-stage cache statistics (the per-run `cache_hits`
-//! rollup cannot say *which* stage was reused; the counters can).
+//! runs inside a `session.<stage>` span
+//! ([`cualign_telemetry::Registry::timed`]), so with telemetry enabled
+//! the span tree carries the same numbers `StageTimings` reports, and
+//! the registry's `session.<stage>.hits`/`.misses` counters are the
+//! canonical per-stage cache statistics (the per-run `cache_hits` rollup
+//! cannot say *which* stage was reused; the counters can). A session
+//! records, at each call, into the caller's
+//! [`cualign_telemetry::current`] registry, and so does every kernel it
+//! runs.
 
 use crate::config::AlignerConfig;
 use crate::error::{AlignError, GraphSide};
 use crate::pipeline::{AlignmentResult, StageTimings};
 use crate::scoring::{score_alignment, AlignmentScores};
-use cualign_bp::{BpConfig, BpEngine, BpOutcome, DampingSchedule, MatcherKind};
+use cualign_bp::{BpConfig, BpEngine, BpOutcome, MatcherKind};
 use cualign_embed::{
     align_subspaces, spectral_embedding, SpectralConfig, SubspaceAlignConfig, SubspaceAlignment,
 };
@@ -42,9 +46,8 @@ use cualign_graph::{BipartiteGraph, CsrGraph, VertexId};
 use cualign_linalg::DenseMatrix;
 use cualign_overlap::OverlapMatrix;
 use cualign_rt::par;
-use cualign_telemetry::{Counter, Registry, SpanContext};
+use cualign_telemetry::SpanContext;
 use std::borrow::Borrow;
-use std::sync::Arc;
 
 use crate::config::SparsityChoice;
 
@@ -188,10 +191,6 @@ fn bp_fingerprint(upstream: u64, c: &BpConfig) -> u64 {
         MatcherKind::Greedy => 3,
         MatcherKind::Suitor => 4,
     });
-    h.u64(match c.damping {
-        DampingSchedule::PowerDecay => 1,
-        DampingSchedule::Constant => 2,
-    });
     h.finish()
 }
 
@@ -261,47 +260,16 @@ impl StageCounters {
     }
 }
 
-// ---------------------------------------------------------------------
-// Telemetry handles
-// ---------------------------------------------------------------------
-
-/// Interned hit/miss counters for one pipeline stage. These registry
-/// counters are the *canonical* cache statistics: unlike the per-run
-/// `cache_hits` rollup in [`StageTimings`], they distinguish which stage
-/// was served from cache, across the whole session lifetime.
-struct StageTele {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-}
-
-impl StageTele {
-    fn new(registry: &Registry, stage: &str) -> Self {
-        StageTele {
-            hits: registry.counter(&format!("session.{stage}.hits")),
-            misses: registry.counter(&format!("session.{stage}.misses")),
-        }
-    }
-}
-
-/// Cached handles to every session instrument, built once per session so
-/// stage accesses touch only atomics (never the registry's intern lock).
-struct SessionTelemetry {
-    embed: StageTele,
-    subspace: StageTele,
-    sparsify: StageTele,
-    overlap: StageTele,
-    optimize: StageTele,
-}
-
-impl SessionTelemetry {
-    fn new(registry: &Registry) -> Self {
-        SessionTelemetry {
-            embed: StageTele::new(registry, "embed"),
-            subspace: StageTele::new(registry, "subspace"),
-            sparsify: StageTele::new(registry, "sparsify"),
-            overlap: StageTele::new(registry, "overlap"),
-            optimize: StageTele::new(registry, "optimize"),
-        }
+/// Ticks the current registry's `session.<stage>.hits` or `.misses`.
+/// These counters are the *canonical* cache statistics: unlike the
+/// per-run `cache_hits` rollup in [`StageTimings`], they distinguish
+/// which stage was served from cache, across the whole session lifetime.
+fn count_lookup(stage: &str, hit: bool) {
+    let reg = cualign_telemetry::current();
+    if hit {
+        reg.counter(&format!("session.{stage}.hits")).inc();
+    } else {
+        reg.counter(&format!("session.{stage}.misses")).inc();
     }
 }
 
@@ -375,8 +343,6 @@ pub struct AlignmentSession<G: Borrow<CsrGraph>> {
     optimized: Option<Cached<Optimized>>,
     counters: StageCounters,
     cumulative: StageTimings,
-    registry: &'static Registry,
-    tele: SessionTelemetry,
 }
 
 /// Outcome of an `ensure_*` step: was the artifact reused? (Build
@@ -396,24 +362,10 @@ impl StageOutcome {
 }
 
 impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
-    /// Opens a session over `a` and `b`, recording telemetry into the
-    /// process-global registry. Validates the configuration and rejects
-    /// degenerate inputs (empty graphs, embedding dimension larger than
-    /// the smaller graph).
+    /// Opens a session over `a` and `b`. Validates the configuration
+    /// and rejects degenerate inputs (empty graphs, embedding dimension
+    /// larger than the smaller graph).
     pub fn new(a: G, b: G, cfg: AlignerConfig) -> Result<Self, AlignError> {
-        Self::with_registry(a, b, cfg, cualign_telemetry::global())
-    }
-
-    /// As [`AlignmentSession::new`], but recording stage spans and the
-    /// per-stage cache hit/miss counters into `registry` instead of the
-    /// global one. Tests use this with a leaked fresh registry so
-    /// concurrently running sessions cannot perturb each other's counts.
-    pub fn with_registry(
-        a: G,
-        b: G,
-        cfg: AlignerConfig,
-        registry: &'static Registry,
-    ) -> Result<Self, AlignError> {
         cfg.validate()?;
         Self::check_inputs(a.borrow(), b.borrow(), &cfg)?;
         let pair_fp = graph_pair_fingerprint(a.borrow(), b.borrow());
@@ -429,14 +381,7 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
             optimized: None,
             counters: StageCounters::default(),
             cumulative: StageTimings::default(),
-            registry,
-            tele: SessionTelemetry::new(registry),
         })
-    }
-
-    /// The registry this session records into.
-    pub fn registry(&self) -> &'static Registry {
-        self.registry
     }
 
     fn check_inputs(a: &CsrGraph, b: &CsrGraph, cfg: &AlignerConfig) -> Result<(), AlignError> {
@@ -540,16 +485,17 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
     fn ensure_embeddings(&mut self) -> StageOutcome {
         let fp = embedding_fingerprint(&self.cfg.embedding);
         if matches!(&self.embeddings, Some(c) if c.fingerprint == fp) {
-            self.tele.embed.hits.inc();
+            count_lookup("embed", true);
             return StageOutcome::hit();
         }
-        self.tele.embed.misses.inc();
-        let (value, seconds) = self.registry.timed("session.embed", || {
+        count_lookup("embed", false);
+        let (value, seconds) = cualign_telemetry::current().timed("session.embed", || {
             // A and B embed concurrently, one per thread. Loops nested in
             // a parallel run execute inline, so each embedding runs the
             // same serial-order code and gives the same bits at any
-            // thread count. Each side enters the caller's span path, so
-            // both `embed.spectral` spans nest under `session.embed`.
+            // thread count. Each side enters the caller's span path and
+            // registry, so both `embed.spectral` spans nest under
+            // `session.embed` in the caller's registry.
             let cfg_a = self.cfg.embedding;
             let cfg_b = SpectralConfig {
                 seed: cfg_a.seed.wrapping_add(B_SIDE_SEED_OFFSET),
@@ -561,7 +507,7 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
             par::map(&mut ys, 1, |i| {
                 let _ctx = ctx.enter();
                 let (cfg, g) = &sides[i];
-                let reg = cualign_telemetry::global();
+                let reg = cualign_telemetry::current();
                 reg.counter("embed.builds").inc();
                 let _span = reg.span("embed.spectral");
                 spectral_embedding(g, cfg)
@@ -593,12 +539,12 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
             &self.cfg.subspace,
         );
         if upstream.hit && matches!(&self.subspace, Some(c) if c.fingerprint == fp) {
-            self.tele.subspace.hits.inc();
+            count_lookup("subspace", true);
             return Ok(StageOutcome::hit());
         }
-        self.tele.subspace.misses.inc();
+        count_lookup("subspace", false);
         let emb = &cached(&self.embeddings, "embeddings")?.value;
-        let (sub, seconds) = self.registry.timed("session.subspace", || {
+        let (sub, seconds) = cualign_telemetry::current().timed("session.subspace", || {
             align_subspaces(
                 &emb.y1,
                 &emb.y2,
@@ -632,15 +578,15 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
             &self.cfg.sparsity,
         );
         if upstream.hit && matches!(&self.sparse_l, Some(c) if c.fingerprint == fp) {
-            self.tele.sparsify.hits.inc();
+            count_lookup("sparsify", true);
             return Ok(StageOutcome::hit());
         }
-        self.tele.sparsify.misses.inc();
+        count_lookup("sparsify", false);
         let sub = &cached(&self.subspace, "subspace")?.value;
         // Hand the graphs over so the ANN rule can union in its
         // Weisfeiler–Lehman structural candidates; exact rules ignore
         // them.
-        let (l, seconds) = self.registry.timed("session.sparsify", || {
+        let (l, seconds) = cualign_telemetry::current().timed("session.sparsify", || {
             self.cfg
                 .build_l_with_graphs(&sub.ya, &sub.yb, Some((self.a.borrow(), self.b.borrow())))
         });
@@ -669,12 +615,12 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
         // S depends only on (a, b, L): its fingerprint is L's.
         let fp = cached(&self.sparse_l, "sparse_l")?.fingerprint;
         if upstream.hit && matches!(&self.overlap, Some(c) if c.fingerprint == fp) {
-            self.tele.overlap.hits.inc();
+            count_lookup("overlap", true);
             return Ok(StageOutcome::hit());
         }
-        self.tele.overlap.misses.inc();
+        count_lookup("overlap", false);
         let l = &cached(&self.sparse_l, "sparse_l")?.value;
-        let (s, seconds) = self.registry.timed("session.overlap", || {
+        let (s, seconds) = cualign_telemetry::current().timed("session.overlap", || {
             OverlapMatrix::build(self.a.borrow(), self.b.borrow(), l)
         });
         self.overlap = Some(Cached {
@@ -708,13 +654,13 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
         let upstream = self.ensure_overlap()?;
         let fp = bp_fingerprint(cached(&self.overlap, "overlap")?.fingerprint, &self.cfg.bp);
         if upstream.hit && matches!(&self.optimized, Some(c) if c.fingerprint == fp) {
-            self.tele.optimize.hits.inc();
+            count_lookup("optimize", true);
             return Ok(StageOutcome::hit());
         }
-        self.tele.optimize.misses.inc();
+        count_lookup("optimize", false);
         let l = &cached(&self.sparse_l, "sparse_l")?.value;
         let s = &cached(&self.overlap, "overlap")?.value;
-        let (value, seconds) = self.registry.timed("session.optimize", || {
+        let (value, seconds) = cualign_telemetry::current().timed("session.optimize", || {
             let bp = BpEngine::new(l, s, &self.cfg.bp).run();
             let mapping: Vec<Option<VertexId>> = (0..self.a.borrow().num_vertices())
                 .map(|u| bp.best_matching.mate_of_a(u as VertexId))
@@ -776,6 +722,7 @@ mod tests {
     use cualign_graph::generators::erdos_renyi_gnm;
     use cualign_graph::permutation::AlignmentInstance;
     use cualign_rt::Rng;
+    use std::sync::Arc;
 
     fn small_cfg() -> AlignerConfig {
         let mut cfg = AlignerConfig {

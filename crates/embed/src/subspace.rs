@@ -357,10 +357,14 @@ pub fn structural_features_for(g: &CsrGraph, rows: &[usize]) -> DenseMatrix {
 /// negative for near-identical rows). Agrees with
 /// [`pairwise_cost_reference`] to ~1e-12 absolute on unit-scale
 /// embeddings (different floating-point association; pinned in
-/// `tests/prop_subspace.rs`).
+/// `tests/prop_subspace.rs`). Adds the sweep's `2·n·m·d` to the current
+/// registry's `linalg.gemm.flops`.
 pub fn pairwise_cost(x: &DenseMatrix, z: &DenseMatrix) -> DenseMatrix {
     assert_eq!(x.cols(), z.cols(), "cost operands disagree in dimension");
     let (n, m) = (x.rows(), z.rows());
+    cualign_telemetry::current()
+        .counter("linalg.gemm.flops")
+        .add(2 * (n * m * x.cols()) as u64);
     if n == 0 || m == 0 {
         return DenseMatrix::zeros(n, m);
     }
@@ -542,7 +546,7 @@ fn align_impl(
     }
     cfg.validate()?;
     let d = y1.cols();
-    let reg = cualign_telemetry::global();
+    let reg = cualign_telemetry::current();
     let round_cost_hist = reg.histogram("subspace.round_cost");
 
     let anchors_a = top_degree_anchors(ga, cfg.anchors);
@@ -891,6 +895,18 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(worst < 1e-10, "cost kernels diverge by {worst:e}");
+    }
+
+    #[test]
+    fn gemm_cost_records_its_flops_in_the_callers_registry() {
+        use cualign_telemetry::{with_registry, Registry};
+        let mut rng = Rng::new(6);
+        // More rows than one parallel block of the Gram sweep.
+        let x = DenseMatrix::gaussian(70, 9, &mut rng);
+        let z = DenseMatrix::gaussian(23, 9, &mut rng);
+        let reg: &'static Registry = Box::leak(Box::new(Registry::new()));
+        with_registry(reg, || pairwise_cost(&x, &z));
+        assert_eq!(reg.counter("linalg.gemm.flops").get(), 2 * 70 * 23 * 9);
     }
 
     #[test]

@@ -5,35 +5,6 @@
 use crate::device::DeviceSpec;
 use crate::footprint::Footprint;
 use cualign_graph::binning::Binning;
-use cualign_telemetry::{Counter, Histogram};
-use std::sync::{Arc, OnceLock};
-
-/// Interned telemetry handles for the launch chokepoint: every simulated
-/// kernel family passes through [`simulate_launch`], so these counters
-/// are a complete account of modeled GPU work.
-struct GpusimTele {
-    launches: Arc<Counter>,
-    active_lane_slots: Arc<Counter>,
-    idle_lane_slots: Arc<Counter>,
-    coalesced_tx: Arc<Counter>,
-    scattered_tx: Arc<Counter>,
-    launch_seconds: Arc<Histogram>,
-}
-
-fn gpusim_tele() -> &'static GpusimTele {
-    static TELE: OnceLock<GpusimTele> = OnceLock::new();
-    TELE.get_or_init(|| {
-        let r = cualign_telemetry::global();
-        GpusimTele {
-            launches: r.counter("gpusim.launches"),
-            active_lane_slots: r.counter("gpusim.active_lane_slots"),
-            idle_lane_slots: r.counter("gpusim.idle_lane_slots"),
-            coalesced_tx: r.counter("gpusim.coalesced_tx"),
-            scattered_tx: r.counter("gpusim.scattered_tx"),
-            launch_seconds: r.histogram("gpusim.launch_seconds"),
-        }
-    })
-}
 
 /// Which of the paper's §5 optimizations are active. Each is independently
 /// toggleable so the ablation benches can quantify it.
@@ -274,17 +245,19 @@ where
         seconds,
         launches,
     };
-    let tele = gpusim_tele();
-    tele.launches.add(stats.launches as u64);
-    tele.active_lane_slots.add(stats.active_lane_slots());
-    tele.idle_lane_slots.add(stats.idle_lane_slots());
-    if cualign_telemetry::enabled() {
-        tele.coalesced_tx
-            .add(stats.bins.iter().map(|b| b.coalesced_tx).sum());
-        tele.scattered_tx
-            .add(stats.bins.iter().map(|b| b.scattered_tx).sum());
-        tele.launch_seconds.record(stats.seconds);
-    }
+    // Every simulated kernel family passes through here, so these
+    // instruments are a complete account of modeled GPU work.
+    let reg = cualign_telemetry::current();
+    reg.counter("gpusim.launches").add(stats.launches as u64);
+    reg.counter("gpusim.active_lane_slots")
+        .add(stats.active_lane_slots());
+    reg.counter("gpusim.idle_lane_slots")
+        .add(stats.idle_lane_slots());
+    reg.counter("gpusim.coalesced_tx")
+        .add(stats.bins.iter().map(|b| b.coalesced_tx).sum());
+    reg.counter("gpusim.scattered_tx")
+        .add(stats.bins.iter().map(|b| b.scattered_tx).sum());
+    reg.histogram("gpusim.launch_seconds").record(stats.seconds);
     stats
 }
 

@@ -30,14 +30,14 @@
 //! to the seed [`matmul_naive`] kernel. The property tests in
 //! `tests/prop_gemm.rs` pin this equality on random shapes.
 //!
-//! Telemetry: `linalg.gemm.flops` counts `2·m·n·k` per product
-//! (always-on atomic); `linalg.gemm.block_seconds` histograms per-chunk
-//! wall time when telemetry is enabled.
+//! Telemetry, in the caller's current registry: `linalg.gemm.flops`
+//! counts `2·m·n·k` per product and `linalg.gemm.block_seconds`
+//! histograms [`matmul`]'s per-chunk wall time. [`dot_block`] runs on
+//! parallel helpers and records nothing; its callers add their sweep's
+//! flops once per call.
 
 use crate::DenseMatrix;
 use cualign_rt::par;
-use cualign_telemetry::{Counter, Histogram};
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Lanes per packed panel (the register-tile width).
@@ -46,22 +46,6 @@ pub const NR: usize = 4;
 const MR: usize = 4;
 /// Output rows per parallel item in [`matmul`].
 const ROW_BLOCK: usize = 32;
-
-struct GemmTele {
-    flops: Arc<Counter>,
-    block_seconds: Arc<Histogram>,
-}
-
-fn gemm_tele() -> &'static GemmTele {
-    static TELE: OnceLock<GemmTele> = OnceLock::new();
-    TELE.get_or_init(|| {
-        let r = cualign_telemetry::global();
-        GemmTele {
-            flops: r.counter("linalg.gemm.flops"),
-            block_seconds: r.histogram("linalg.gemm.block_seconds"),
-        }
-    })
-}
 
 /// A matrix operand repacked into [`NR`]-lane, k-major panels.
 ///
@@ -232,9 +216,6 @@ pub fn dot_block(
     assert_eq!(t0 % NR, 0, "tile start must be panel-aligned");
     assert!(t1 <= packed.lanes, "tile end past packed lanes");
     assert!(out.len() >= (q1 - q0) * (t1 - t0), "output tile too small");
-    gemm_tele()
-        .flops
-        .add(2 * ((q1 - q0) * (t1 - t0) * packed.depth) as u64);
     block_into(queries, q0, q1, packed, t0, t1, out, t1 - t0);
 }
 
@@ -246,23 +227,21 @@ pub fn dot_block(
 pub fn matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let tele = gemm_tele();
-    tele.flops.add(2 * (m * n * k) as u64);
+    let reg = cualign_telemetry::current();
+    reg.counter("linalg.gemm.flops").add(2 * (m * n * k) as u64);
     if m == 0 || n == 0 {
         return DenseMatrix::zeros(m, n);
     }
     let packed = pack_cols(b);
     let mut out = vec![0.0; m * n];
-    let instrument = cualign_telemetry::enabled();
+    let block_seconds = reg.histogram("linalg.gemm.block_seconds");
     let blocks: Vec<&mut [f64]> = out.chunks_mut(n * ROW_BLOCK).collect();
     par::for_each(blocks, par::min_len_for(ROW_BLOCK * n * k), |ci, chunk| {
-        let started = instrument.then(Instant::now);
+        let started = Instant::now();
         let i0 = ci * ROW_BLOCK;
         let rows = chunk.len() / n;
         block_into(a, i0, i0 + rows, &packed, 0, n, chunk, n);
-        if let Some(t) = started {
-            tele.block_seconds.record(t.elapsed().as_secs_f64());
-        }
+        block_seconds.record(started.elapsed().as_secs_f64());
     });
     DenseMatrix::from_vec(m, n, out)
 }
@@ -280,7 +259,9 @@ pub fn matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
 pub fn matmul_tn(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     assert_eq!(a.rows(), b.rows(), "row mismatch in AᵀB");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    gemm_tele().flops.add(2 * (m * n * k) as u64);
+    cualign_telemetry::current()
+        .counter("linalg.gemm.flops")
+        .add(2 * (m * n * k) as u64);
     let mut out = vec![0.0; k * n];
     let mut i = 0;
     while i + MR <= m {

@@ -30,6 +30,14 @@
 //! dominant matching *unique* — the serial and parallel algorithms are
 //! bit-for-bit interchangeable, a property the test suite pins down.
 //!
+//! Telemetry, in the caller's current registry: `matching.runs` counts
+//! calls of the Suitor and parallel matchers, `matching.proposals` the
+//! Suitor proposals (the production rounding work), and
+//! `matching.rounds` / `matching.recomputations` the parallel matcher's
+//! queue rounds and candidate recomputations — the quantities the GPU
+//! model charges per launch, which read 0 on the default BP and
+//! multilevel paths.
+//!
 //! **Place in the pipeline** (paper Fig. 2): the rounding half of stage
 //! 4 — each BP iteration's messages are rounded to a matching here, and
 //! the best one wins. The multilevel wrapper adds a second call site:
@@ -56,8 +64,6 @@ pub use parallel::locally_dominant_parallel;
 pub use suitor::suitor_matching;
 
 use cualign_graph::{BipartiteGraph, EdgeId};
-use cualign_telemetry::Counter;
-use std::sync::{Arc, OnceLock};
 
 /// `true` iff edge `e1` is preferred over `e2` for matching: heavier wins,
 /// ties break toward the smaller edge id. Strictly total for distinct ids.
@@ -66,34 +72,4 @@ pub fn prefer(l: &BipartiteGraph, e1: EdgeId, e2: EdgeId) -> bool {
     let w1 = l.weights()[e1 as usize];
     let w2 = l.weights()[e2 as usize];
     w1 > w2 || (w1 == w2 && e1 < e2)
-}
-
-/// Interned telemetry counters shared by the matchers.
-pub(crate) struct MatchTele {
-    /// `matching.runs`: calls of the production and parallel matchers.
-    pub(crate) runs: Arc<Counter>,
-    /// `matching.proposals`: proposals made by [`suitor_matching`] — the
-    /// rounding work of the production path.
-    pub(crate) proposals: Arc<Counter>,
-    /// `matching.rounds`: queue rounds of [`locally_dominant_parallel`],
-    /// the quantity the GPU model charges per launch. The production
-    /// rounding path runs [`suitor_matching`], so on the default BP and
-    /// multilevel paths this counter reads 0.
-    pub(crate) rounds: Arc<Counter>,
-    /// `matching.recomputations`: candidate recomputations of
-    /// [`locally_dominant_parallel`] (0 on the default path, as above).
-    pub(crate) recomputations: Arc<Counter>,
-}
-
-pub(crate) fn match_tele() -> &'static MatchTele {
-    static TELE: OnceLock<MatchTele> = OnceLock::new();
-    TELE.get_or_init(|| {
-        let r = cualign_telemetry::global();
-        MatchTele {
-            runs: r.counter("matching.runs"),
-            proposals: r.counter("matching.proposals"),
-            rounds: r.counter("matching.rounds"),
-            recomputations: r.counter("matching.recomputations"),
-        }
-    })
 }

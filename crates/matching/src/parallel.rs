@@ -21,7 +21,7 @@
 //! suite).
 
 use crate::matching::Matching;
-use crate::{match_tele, prefer};
+use crate::prefer;
 use cualign_graph::{BipartiteGraph, EdgeId, VertexId};
 use cualign_rt::par;
 
@@ -209,10 +209,11 @@ pub fn locally_dominant_parallel_with_stats(l: &BipartiteGraph) -> (Matching, Ma
         newly.dedup();
     }
 
-    let tele = match_tele();
-    tele.runs.inc();
-    tele.rounds.add(stats.rounds as u64);
-    tele.recomputations.add(stats.recomputations as u64);
+    let tele = cualign_telemetry::current();
+    tele.counter("matching.runs").inc();
+    tele.counter("matching.rounds").add(stats.rounds as u64);
+    tele.counter("matching.recomputations")
+        .add(stats.recomputations as u64);
     (Matching::from_edge_ids(l, chosen), stats)
 }
 

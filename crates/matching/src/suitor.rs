@@ -17,7 +17,6 @@
 //! It is the production rounding matcher of the BP loop and of the
 //! multilevel repair pass.
 
-use crate::match_tele;
 use crate::matching::Matching;
 use cualign_graph::{BipartiteGraph, EdgeId, VertexId};
 
@@ -65,9 +64,9 @@ pub fn suitor_matching(l: &BipartiteGraph) -> Matching {
             a = l.edge(displaced).a as usize;
         }
     }
-    let tele = match_tele();
-    tele.runs.inc();
-    tele.proposals.add(proposals);
+    let tele = cualign_telemetry::current();
+    tele.counter("matching.runs").inc();
+    tele.counter("matching.proposals").add(proposals);
     let chosen = held.into_iter().filter(|&e| e != EDGE_NONE).collect();
     Matching::from_edge_ids(l, chosen)
 }

@@ -99,7 +99,8 @@ impl OverlapMatrix {
     /// to [`OverlapMatrix::build_reference`].
     pub fn build(a: &CsrGraph, b: &CsrGraph, l: &BipartiteGraph) -> Self {
         let t0 = std::time::Instant::now();
-        let _span = cualign_telemetry::global().span("overlap.build");
+        let reg = cualign_telemetry::current();
+        let _span = reg.span("overlap.build");
         let m = l.num_edges();
         let edges = l.edges();
         // Marker tables are indexed by B-side vertex ids; `L`'s targets
@@ -219,7 +220,6 @@ impl OverlapMatrix {
                 .unwrap_or(0);
         let squares_checked = count_checks + fill_checks;
 
-        let reg = cualign_telemetry::global();
         reg.counter("overlap.builds").inc();
         reg.counter("overlap.squares_checked").add(squares_checked);
         reg.gauge("overlap.nnz").set(col_idx.len() as f64);

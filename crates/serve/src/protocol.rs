@@ -280,13 +280,13 @@ mod tests {
 
     #[test]
     fn ann_fields_select_the_ann_sparsifier() {
-        use cualign::SparsifyMethod;
+        use cualign::SparsityChoice;
         // k composes with ann_* regardless of JSON field order.
         let req = body(r#"{"config":{"ann_bits":10,"k":6,"ann_bands":16}}"#);
         let cfg = parse_config(req.get("config")).unwrap();
         assert!(matches!(
             cfg.sparsity,
-            SparsifyMethod::Ann {
+            SparsityChoice::Ann {
                 k: 6,
                 bands: 16,
                 bits: 10,
@@ -298,7 +298,7 @@ mod tests {
         let cfg = parse_config(req.get("config")).unwrap();
         assert!(matches!(
             cfg.sparsity,
-            SparsifyMethod::Ann { probes: 3, .. }
+            SparsityChoice::Ann { probes: 3, .. }
         ));
         // density conflicts with the ANN knobs.
         let req = body(r#"{"config":{"ann_bits":8,"density":0.05}}"#);

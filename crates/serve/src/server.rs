@@ -22,7 +22,7 @@ use crate::protocol;
 use cualign::{graph_pair_fingerprint, AlignError, AlignmentResult, AlignmentSession};
 use cualign_graph::CsrGraph;
 use cualign_rt::par;
-use cualign_telemetry::{global, Counter, Gauge, Histogram, Registry};
+use cualign_telemetry::{with_registry, Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -74,6 +74,7 @@ struct Metrics {
     rejected: Arc<Counter>,
     timeouts: Arc<Counter>,
     errors: Arc<Counter>,
+    panics: Arc<Counter>,
     session_hits: Arc<Counter>,
     session_misses: Arc<Counter>,
     session_evictions: Arc<Counter>,
@@ -89,6 +90,7 @@ impl Metrics {
             rejected: registry.counter("serve.rejected"),
             timeouts: registry.counter("serve.timeouts"),
             errors: registry.counter("serve.errors"),
+            panics: registry.counter("serve.panics"),
             session_hits: registry.counter("serve.session_hits"),
             session_misses: registry.counter("serve.session_misses"),
             session_evictions: registry.counter("serve.session_evictions"),
@@ -148,18 +150,14 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the service on the process-global telemetry registry.
+    /// Starts the service. It records into the caller's
+    /// [`cualign_telemetry::current`] registry, captured here: its own
+    /// metrics, and every worker runs its requests under that registry,
+    /// so `GET /metrics` also shows the pipeline's stage and kernel
+    /// instruments. Tests start each server inside
+    /// [`cualign_telemetry::with_registry`] to keep servers apart.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
-        Server::start_with_registry(cfg, global())
-    }
-
-    /// Starts the service with an explicit registry — tests use an
-    /// isolated leaked registry so concurrent servers do not share
-    /// counters.
-    pub fn start_with_registry(
-        cfg: ServerConfig,
-        registry: &'static Registry,
-    ) -> std::io::Result<Server> {
+        let registry = cualign_telemetry::current();
         let listener = TcpListener::bind(cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -180,7 +178,11 @@ impl Server {
         let workers = (0..worker_count)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || par::with_threads(share, || worker_loop(&shared)))
+                std::thread::spawn(move || {
+                    with_registry(shared.registry, || {
+                        par::with_threads(share, || worker_loop(&shared))
+                    })
+                })
             })
             .collect();
         let acceptor = {
@@ -460,7 +462,8 @@ fn run_work(
     // Session validation makes algorithm-crate contract panics
     // unreachable from request input, but a panic reaching here must
     // cost one 500, not a worker thread — the pool is fixed-size and a
-    // dead worker would shrink it for the life of the process.
+    // dead worker would shrink it for the life of the process. Each one
+    // caught ticks `serve.panics`, so a tripped net shows in `/metrics`.
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| endpoint(shared, request)));
     match outcome {
@@ -480,6 +483,7 @@ fn run_work(
         }
         Err(payload) => {
             shared.metrics.errors.inc();
+            shared.metrics.panics.inc();
             let message = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -590,8 +594,7 @@ fn checkout(
         }
         None => {
             shared.metrics.session_misses.inc();
-            let session =
-                AlignmentSession::with_registry(Arc::new(a), Arc::new(b), cfg, shared.registry)?;
+            let session = AlignmentSession::new(Arc::new(a), Arc::new(b), cfg)?;
             Ok((session, false))
         }
     }

@@ -37,15 +37,12 @@
 //! unioned in by [`build_alignment_graph_ann`] so pairs the embedding
 //! geometry misses can still enter `L`.
 
-use std::sync::{Arc, OnceLock};
-
 use cualign_graph::{BipartiteGraph, VertexId};
 use cualign_linalg::{vecops, DenseMatrix};
 use cualign_rt::par;
 use cualign_rt::rng::splitmix64;
-use cualign_telemetry::Counter;
 
-use crate::knn::{knn_tele, row_norms, KnnDirection, TopK};
+use crate::knn::{row_norms, KnnDirection, TopK};
 
 /// Hard cap on entries consumed per bucket lookup. A pathological bucket
 /// (e.g. thousands of near-identical rows) would otherwise turn one
@@ -98,31 +95,6 @@ impl AnnConfig {
         assert!((1..=32).contains(&self.bits), "ann: bits must be in 1..=32");
         assert!(self.probes <= self.bits, "ann: probes must be <= bits");
     }
-}
-
-/// Interned ANN counters: occupied `(band, signature)` buckets on the
-/// indexed side, candidate pairs actually scored (post-dedup bucket
-/// collisions — the ANN analogue of `sparsify.candidates_scanned`),
-/// multi-probe lookups that hit a non-empty bucket, and how many times
-/// a recall check against the exact oracle ran.
-struct AnnTele {
-    buckets: Arc<Counter>,
-    collisions: Arc<Counter>,
-    probed: Arc<Counter>,
-    recall_checked: Arc<Counter>,
-}
-
-fn ann_tele() -> &'static AnnTele {
-    static TELE: OnceLock<AnnTele> = OnceLock::new();
-    TELE.get_or_init(|| {
-        let r = cualign_telemetry::global();
-        AnnTele {
-            buckets: r.counter("sparsify.ann.buckets"),
-            collisions: r.counter("sparsify.ann.collisions"),
-            probed: r.counter("sparsify.ann.probed"),
-            recall_checked: r.counter("sparsify.ann.recall_checked"),
-        }
-    })
 }
 
 fn unit_f64(state: &mut u64) -> f64 {
@@ -348,11 +320,7 @@ pub fn ann_candidates(
     let (index, occupied) = index_bands(&tsigs, targets.rows());
     let (states, scored, probe_hits) = sweep_buckets(queries, targets, &qsigs, &index, cfg);
     let triples = orient(states, direction);
-    let tele = ann_tele();
-    tele.buckets.add(occupied);
-    tele.collisions.add(scored);
-    tele.probed.add(probe_hits);
-    knn_tele().kept.add(triples.len() as u64);
+    record_generation(occupied, scored, probe_hits, triples.len());
     triples
 }
 
@@ -401,14 +369,28 @@ pub fn build_alignment_graph_ann(
         (a, b, ((1.0 + sim) / 2.0).max(f64::MIN_POSITIVE))
     });
 
-    let tele = ann_tele();
-    tele.buckets.add(occ_a + occ_b);
-    tele.collisions.add(scored_ab + scored_ba);
-    tele.probed.add(probes_ab + probes_ba);
-    knn_tele().kept.add(triples.len() as u64);
+    record_generation(
+        occ_a + occ_b,
+        scored_ab + scored_ba,
+        probes_ab + probes_ba,
+        triples.len(),
+    );
     // Duplicate (a, b) pairs carry identical weights; the constructor
     // collapses them.
     BipartiteGraph::from_weighted_edges(ya.rows(), yb.rows(), &triples)
+}
+
+/// Records one candidate generation in the current registry: occupied
+/// `(band, signature)` buckets on the indexed side, candidate pairs
+/// actually scored (post-dedup bucket collisions — the ANN analogue of
+/// `sparsify.candidates_scanned`), multi-probe lookups that hit a
+/// non-empty bucket, and the candidates kept.
+fn record_generation(buckets: u64, collisions: u64, probed: u64, kept: usize) {
+    let reg = cualign_telemetry::current();
+    reg.counter("sparsify.ann.buckets").add(buckets);
+    reg.counter("sparsify.ann.collisions").add(collisions);
+    reg.counter("sparsify.ann.probed").add(probed);
+    reg.counter("sparsify.candidates_kept").add(kept as u64);
 }
 
 /// Pair-set recall of an ANN candidate list against the exact oracle's:
@@ -416,7 +398,9 @@ pub fn build_alignment_graph_ann(
 /// are bit-identical by construction for shared pairs). Returns 1.0 for
 /// an empty oracle. Each call bumps `sparsify.ann.recall_checked`.
 pub fn ann_recall(ann: &[(VertexId, VertexId, f64)], exact: &[(VertexId, VertexId, f64)]) -> f64 {
-    ann_tele().recall_checked.add(1);
+    cualign_telemetry::current()
+        .counter("sparsify.ann.recall_checked")
+        .inc();
     if exact.is_empty() {
         return 1.0;
     }

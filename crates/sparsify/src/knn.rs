@@ -21,9 +21,7 @@
 use cualign_graph::VertexId;
 use cualign_linalg::{gemm, vecops, DenseMatrix};
 use cualign_rt::par;
-use cualign_telemetry::{Counter, Histogram};
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Query rows per parallel item in the blocked sweep.
@@ -31,31 +29,6 @@ const QUERY_BLOCK: usize = 32;
 /// Target lanes per dot tile (panel-aligned; the tile buffer is
 /// `QUERY_BLOCK × TARGET_BLOCK` f64s, small enough to stay cache-hot).
 const TARGET_BLOCK: usize = 256;
-
-/// Interned sweep counters: how many candidate pairs the kNN sweep
-/// scored vs. how many survived the top-`k` selection (the Fig. 4 story
-/// of what sparsification discards), plus the number of dot tiles the
-/// blocked kernel computed and a per-query-block wall-time histogram
-/// (recorded only when telemetry is enabled).
-pub(crate) struct KnnTele {
-    pub(crate) scanned: Arc<Counter>,
-    pub(crate) kept: Arc<Counter>,
-    pub(crate) tiles: Arc<Counter>,
-    pub(crate) block_seconds: Arc<Histogram>,
-}
-
-pub(crate) fn knn_tele() -> &'static KnnTele {
-    static TELE: OnceLock<KnnTele> = OnceLock::new();
-    TELE.get_or_init(|| {
-        let r = cualign_telemetry::global();
-        KnnTele {
-            scanned: r.counter("sparsify.candidates_scanned"),
-            kept: r.counter("sparsify.candidates_kept"),
-            tiles: r.counter("sparsify.knn.tiles"),
-            block_seconds: r.histogram("sparsify.knn.block_seconds"),
-        }
-    })
-}
 
 /// Which side queries which.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,6 +131,11 @@ pub(crate) fn row_norms(m: &DenseMatrix) -> Vec<f64> {
 /// cosine similarity computed from tiled dot products and precomputed
 /// row norms. `init(q)` builds the per-query fold state; the returned
 /// states are in query order.
+///
+/// Records into the current registry: the sweep's `2·nq·nt·d`
+/// `linalg.gemm.flops` (its dot tiles record none), the
+/// `sparsify.knn.tiles` it computed, and one
+/// `sparsify.knn.block_seconds` sample per query block.
 pub(crate) fn sweep_similarity<S, I, V>(
     queries: &DenseMatrix,
     targets: &DenseMatrix,
@@ -178,14 +156,19 @@ where
     let qnorms = row_norms(queries);
     let tnorms = row_norms(targets);
     let packed = gemm::pack_rows(targets);
-    let tele = knn_tele();
-    let instrument = cualign_telemetry::enabled();
+    let reg = cualign_telemetry::current();
+    reg.counter("linalg.gemm.flops")
+        .add(2 * (nq * nt * queries.cols()) as u64);
+    let (tile_count, block_seconds) = (
+        reg.counter("sparsify.knn.tiles"),
+        reg.histogram("sparsify.knn.block_seconds"),
+    );
     let block_work = QUERY_BLOCK * nt * queries.cols();
     par::flat_map(
         nq.div_ceil(QUERY_BLOCK),
         par::min_len_for(block_work),
         |qb, out| {
-            let started = instrument.then(Instant::now);
+            let started = Instant::now();
             let q0 = qb * QUERY_BLOCK;
             let q1 = (q0 + QUERY_BLOCK).min(nq);
             let mut states: Vec<S> = (q0..q1).map(&init).collect();
@@ -220,10 +203,8 @@ where
                 }
                 t0 = t1;
             }
-            tele.tiles.add(tiles);
-            if let Some(t) = started {
-                tele.block_seconds.record(t.elapsed().as_secs_f64());
-            }
+            tile_count.add(tiles);
+            block_seconds.record(started.elapsed().as_secs_f64());
             out.extend(states);
         },
     )
@@ -271,9 +252,11 @@ pub fn knn_candidates(
             });
         }
     }
-    let tele = knn_tele();
-    tele.scanned.add((nq * nt) as u64);
-    tele.kept.add(triples.len() as u64);
+    let reg = cualign_telemetry::current();
+    reg.counter("sparsify.candidates_scanned")
+        .add((nq * nt) as u64);
+    reg.counter("sparsify.candidates_kept")
+        .add(triples.len() as u64);
     triples
 }
 
@@ -413,5 +396,25 @@ mod tests {
         let reference = knn_candidates_reference(&ya, &yb, 2, KnnDirection::AtoB);
         assert_eq!(blocked, reference);
         assert!(blocked.iter().all(|&(_, _, w)| w == 0.5));
+    }
+
+    #[test]
+    fn one_call_records_its_sweep_in_the_callers_registry() {
+        use cualign_rt::Rng;
+        use cualign_telemetry::{with_registry, Registry};
+        // More queries than a query block and targets than a tile, so
+        // the sweep runs several dot tiles on several parallel items.
+        let (nq, nt, d) = (70, 600, 5);
+        let mut rng = Rng::new(5);
+        let ya = DenseMatrix::gaussian(nq, d, &mut rng);
+        let yb = DenseMatrix::gaussian(nt, d, &mut rng);
+        let reg: &'static Registry = Box::leak(Box::new(Registry::new()));
+        with_registry(reg, || knn_candidates(&ya, &yb, 3, KnnDirection::AtoB));
+        let counters = reg.snapshot().counters;
+        assert_eq!(counters["linalg.gemm.flops"], (2 * nq * nt * d) as u64);
+        assert_eq!(counters["sparsify.candidates_scanned"], (nq * nt) as u64);
+        assert_eq!(counters["sparsify.candidates_kept"], (nq * 3) as u64);
+        let tiles = nq.div_ceil(QUERY_BLOCK) * nt.div_ceil(TARGET_BLOCK);
+        assert_eq!(counters["sparsify.knn.tiles"], tiles as u64);
     }
 }

@@ -26,12 +26,11 @@
 //! enters a [`SpanContext`] captured on the caller.
 //!
 //! All instrument updates are single atomic operations; the span tree
-//! takes one short mutex lock per span *exit*. Recording is additionally
-//! gated behind a process-global enabled flag ([`set_enabled`]): when
-//! telemetry is off, [`Registry::span`] is fully inert (no clock read, no
-//! allocation) and instrumented hot paths are expected to check
-//! [`enabled`] before computing derived quantities, so the subsystem can
-//! stay compiled-in for release builds at unmeasurable cost.
+//! takes one short mutex lock per span *exit*. Instruments always
+//! record. Only span capture is gated, behind a process-global enabled
+//! flag ([`set_enabled`]): when telemetry is off, [`Registry::span`] is
+//! fully inert (no clock read, no allocation). No kernel branches on
+//! the flag, so turning telemetry on never changes the code that runs.
 //!
 //! ## Snapshots and exporters
 //!
@@ -44,9 +43,14 @@
 //! * [`Snapshot::to_prometheus`] — Prometheus text exposition format for
 //!   a future serving layer.
 //!
-//! The process-global registry is [`global`]; libraries record there so a
-//! binary can flip one flag and observe the whole stack. Isolated
-//! [`Registry`] instances exist for tests and embedders.
+//! Every stage and kernel records into [`current`]: the registry chosen
+//! by the innermost [`with_registry`] on the calling thread, else the
+//! process-global [`global`]. A kernel resolves its handles on the
+//! calling thread before it fans out, and work handed to helper threads
+//! carries the choice in a [`SpanContext`], so a caller that picks a
+//! registry — a test, a server, an embedder — sees the whole stack's
+//! instruments and spans in it, and a binary that picks none observes
+//! them all in [`global`].
 //!
 //! **Place in the pipeline** (paper Fig. 2): a cross-cutting layer under
 //! every stage rather than a stage itself. Sessions record
@@ -65,26 +69,21 @@ pub mod span;
 
 pub use cli::{TelemetryMode, TelemetrySink};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use registry::{global, Registry, Snapshot};
+pub use registry::{current, global, with_registry, Registry, Snapshot};
 pub use span::{EnteredContext, SpanContext, SpanGuard, SpanSnapshot};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether telemetry recording is globally enabled.
-///
-/// Instrumented hot paths should check this before computing derived
-/// quantities (residual norms, per-element scans) whose only consumer is
-/// telemetry. Plain counter/gauge/histogram updates are cheap enough
-/// (single atomics) to leave unconditioned.
+/// Whether span capture is globally enabled. Counters, gauges and
+/// histograms record either way.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Globally enables or disables telemetry recording (span-tree capture
-/// and derived-quantity instrumentation). Off by default.
+/// Globally enables or disables span capture. Off by default.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -1,6 +1,7 @@
 //! The [`Registry`]: named instruments plus the span tree, and the
 //! plain-data [`Snapshot`] the exporters consume.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -10,12 +11,13 @@ use crate::span::{SpanGuard, SpanNode, SpanSnapshot};
 
 /// A set of named counters, gauges, histograms, and a span tree.
 ///
-/// Instruments are interned on first use and handed out as `Arc`s so hot
-/// call sites can cache a handle once (one `Mutex` lock at registration,
-/// zero locks afterwards). Libraries normally record into the
-/// process-wide [`global`] registry; tests construct their own instances
-/// for isolation (tests in one binary run concurrently and would
-/// otherwise see each other's counts).
+/// Instruments are interned on first use and handed out as `Arc`s, so a
+/// kernel looks its handles up once per call (one short `Mutex` lock
+/// each, no allocation once the name exists) and then touches only
+/// atomics. Libraries record into [`current`]: the process-wide
+/// [`global`] registry unless a caller chose another with
+/// [`with_registry`] (tests do, for isolation: tests in one binary run
+/// concurrently and would otherwise see each other's counts).
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
@@ -30,6 +32,52 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::default)
 }
 
+thread_local! {
+    /// Registry chosen by the innermost [`with_registry`] on this thread.
+    static CURRENT: Cell<Option<&'static Registry>> = const { Cell::new(None) };
+}
+
+/// The registry work on this thread records into: the innermost
+/// [`with_registry`] choice, else [`global`].
+pub fn current() -> &'static Registry {
+    chosen().unwrap_or_else(global)
+}
+
+/// Runs `f` with [`current`] returning `registry` on this thread, and
+/// restores the previous choice when `f` returns or unwinds. Work `f`
+/// hands to other threads records there too when it enters a
+/// [`crate::SpanContext`] captured inside `f`.
+pub fn with_registry<R>(registry: &'static Registry, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<&'static Registry>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_chosen(self.0);
+        }
+    }
+    let _restore = Restore(set_chosen(Some(registry)));
+    f()
+}
+
+/// This thread's [`with_registry`] choice, if any.
+pub(crate) fn chosen() -> Option<&'static Registry> {
+    CURRENT.with(Cell::get)
+}
+
+/// Replaces this thread's [`with_registry`] choice, returning the old one.
+pub(crate) fn set_chosen(registry: Option<&'static Registry>) -> Option<&'static Registry> {
+    CURRENT.with(|c| c.replace(registry))
+}
+
+/// Returns the instrument called `name`, interning a default one on
+/// first use; a name that exists costs one lock and no allocation.
+fn intern<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().expect("instrument map poisoned");
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
 impl Registry {
     /// Creates an empty, isolated registry.
     pub fn new() -> Self {
@@ -37,7 +85,7 @@ impl Registry {
     }
 
     /// Test helper: creates a registry *and* flips the global enabled
-    /// flag on, so spans and gated instrumentation record.
+    /// flag on, so spans record.
     pub fn new_enabled() -> Self {
         crate::set_enabled(true);
         Registry::default()
@@ -45,20 +93,17 @@ impl Registry {
 
     /// Interns (or retrieves) the counter called `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("counter map poisoned");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        intern(&self.counters, name)
     }
 
     /// Interns (or retrieves) the gauge called `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("gauge map poisoned");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        intern(&self.gauges, name)
     }
 
     /// Interns (or retrieves) the histogram called `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("histogram map poisoned");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        intern(&self.histograms, name)
     }
 
     /// Opens a span named `name` nested under this thread's currently
@@ -153,6 +198,27 @@ mod tests {
         a.inc();
         assert_eq!(b.get(), 1);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn with_registry_is_scoped() {
+        let leak = || -> &'static Registry { Box::leak(Box::new(Registry::new())) };
+        let (outer, inner) = (leak(), leak());
+        assert!(std::ptr::eq(current(), global()), "no choice means global");
+        with_registry(outer, || {
+            assert!(std::ptr::eq(current(), outer));
+            with_registry(inner, || assert!(std::ptr::eq(current(), inner)));
+            assert!(std::ptr::eq(current(), outer), "inner choice leaked");
+            // Another thread has its own choice: none.
+            let elsewhere = std::thread::spawn(|| std::ptr::eq(current(), global()));
+            assert!(elsewhere.join().unwrap(), "the choice crossed threads");
+        });
+        assert!(std::ptr::eq(current(), global()));
+        let _ = std::panic::catch_unwind(|| with_registry(outer, || panic!("inside")));
+        assert!(
+            std::ptr::eq(current(), global()),
+            "a panic leaked the choice"
+        );
     }
 
     #[test]

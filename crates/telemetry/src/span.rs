@@ -12,9 +12,10 @@
 //!
 //! Work handed to another thread can keep its caller's place in the
 //! tree: [`SpanContext::current`] captures the calling thread's open
-//! path, and [`SpanContext::enter`] installs it on whichever thread runs
-//! the work, restoring that thread's own stack when the returned guard
-//! drops. Spans opened in between nest under the caller's path.
+//! path and [`crate::with_registry`] choice, and [`SpanContext::enter`]
+//! installs both on whichever thread runs the work, restoring that
+//! thread's own when the returned guard drops. Spans opened and
+//! instruments resolved in between record where the caller's do.
 //!
 //! Guards are robust to out-of-order drops: each guard remembers the
 //! stack depth at which it was opened and truncates the stack back to
@@ -26,6 +27,8 @@ use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::Registry;
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
@@ -97,41 +100,57 @@ impl SpanSnapshot {
     }
 }
 
-/// The calling thread's open span path, captured to be entered on
-/// another thread (or the same one) so that spans opened there nest
-/// under the caller's spans instead of at the root.
+/// The calling thread's open span path and registry choice, captured
+/// to be entered on another thread (or the same one) so that spans
+/// opened there nest under the caller's spans instead of at the root,
+/// and instruments resolved there record into the caller's
+/// [`crate::current`] registry.
 ///
 /// Capturing and entering do not depend on whether telemetry is enabled;
 /// with telemetry off the path is simply empty.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct SpanContext {
     path: Vec<String>,
+    registry: Option<&'static Registry>,
 }
 
+impl PartialEq for SpanContext {
+    fn eq(&self, other: &Self) -> bool {
+        let ptr = |r: Option<&'static Registry>| r.map(|r| r as *const Registry);
+        self.path == other.path && ptr(self.registry) == ptr(other.registry)
+    }
+}
+
+impl Eq for SpanContext {}
+
 impl SpanContext {
-    /// Captures this thread's currently open span path.
+    /// Captures this thread's open span path and registry choice.
     pub fn current() -> Self {
         SpanContext {
             path: SPAN_STACK.with(|s| s.borrow().clone()),
+            registry: crate::registry::chosen(),
         }
     }
 
-    /// Makes the captured path this thread's open span path until the
-    /// returned guard drops, which restores the thread's previous stack.
+    /// Makes the captured path and registry choice this thread's until
+    /// the returned guard drops, which restores the thread's own.
     pub fn enter(&self) -> EnteredContext {
         let saved = SPAN_STACK.with(|s| s.replace(self.path.clone()));
         EnteredContext {
             saved,
+            saved_registry: crate::registry::set_chosen(self.registry),
             _not_send: PhantomData,
         }
     }
 }
 
 /// Guard returned by [`SpanContext::enter`]; restores the thread's own
-/// span stack on drop. It must drop on the thread that entered it.
+/// span stack and registry choice on drop. It must drop on the thread
+/// that entered it.
 pub struct EnteredContext {
     saved: Vec<String>,
-    /// The guard restores a thread-local stack: keep it on its thread.
+    saved_registry: Option<&'static Registry>,
+    /// The guard restores thread-locals: keep it on its thread.
     _not_send: PhantomData<*const ()>,
 }
 
@@ -139,6 +158,7 @@ impl Drop for EnteredContext {
     fn drop(&mut self) {
         let saved = std::mem::take(&mut self.saved);
         SPAN_STACK.with(|s| *s.borrow_mut() = saved);
+        crate::registry::set_chosen(self.saved_registry);
     }
 }
 
@@ -342,6 +362,29 @@ mod tests {
         assert!(on_helpers > 0, "no helper span recorded at the root");
         assert_eq!(on_helpers + calls(&["caller", "after"]), 2);
         assert_eq!(snap.spans.children.len(), 2, "only caller and after");
+    }
+
+    #[test]
+    fn entered_context_carries_the_registry_choice() {
+        use crate::{current, with_registry, SpanContext};
+        let _flag = crate::flag_lock();
+        let r: &'static Registry = Box::leak(Box::new(Registry::new_enabled()));
+        let ctx = with_registry(r, || {
+            let _outer = r.span("caller");
+            SpanContext::current()
+        });
+        let helper = std::thread::spawn(move || {
+            {
+                let _ctx = ctx.enter();
+                current().counter("helper.items").inc();
+                let _task = current().span("task");
+            }
+            std::ptr::eq(current(), crate::global())
+        });
+        assert!(helper.join().unwrap(), "the choice outlived the guard");
+        let snap = r.snapshot();
+        assert_eq!(snap.counters["helper.items"], 1);
+        assert_eq!(snap.spans.get(&["caller", "task"]).unwrap().calls, 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! pipeline: quality against the flat pipeline, graceful degradation on
 //! tiny inputs, determinism, and the per-level telemetry contract.
 
-use cualign::{align_multilevel_with_registry, Aligner, AlignerConfig};
+use cualign::{align_multilevel, Aligner, AlignerConfig};
 use cualign_graph::generators::{duplication_divergence, erdos_renyi_gnm};
 use cualign_graph::permutation::AlignmentInstance;
 use cualign_rt::Rng;
@@ -87,15 +87,19 @@ fn multilevel_is_deterministic() {
 }
 
 /// The telemetry contract: coarsen/coarse-align spans, one refine span
-/// per realized level with band/overlap/bp/repair children, the
-/// `multilevel.depth` gauge, and non-zero per-level size counters.
+/// per realized level with band/overlap/bp/repair children — the
+/// kernels' own `overlap.build` and `bp.run` spans nested in theirs, in
+/// the caller's registry — the `multilevel.depth` gauge, and non-zero
+/// per-level size counters.
 #[test]
 fn multilevel_telemetry_spans_and_counters() {
     let mut rng = Rng::new(6);
     let a = erdos_renyi_gnm(400, 1600, &mut rng);
     let inst = AlignmentInstance::permuted_pair(a, &mut rng);
     let registry = fresh_registry();
-    let r = align_multilevel_with_registry(&inst.a, &inst.b, &cfg(2), registry).unwrap();
+    let r = cualign_telemetry::with_registry(registry, || {
+        align_multilevel(&inst.a, &inst.b, &cfg(2)).unwrap()
+    });
     assert!(r.scores.ncv_gs3 > 0.0);
 
     let snap = registry.snapshot();
@@ -115,6 +119,13 @@ fn multilevel_telemetry_spans_and_counters() {
                     .children
                     .contains_key(&format!("multilevel.level{j}.{child}")),
                 "missing level{j} child span {child}"
+            );
+        }
+        for (stage, kernel) in [("overlap", "overlap.build"), ("bp", "bp.run")] {
+            let stage = &refine.children[&format!("multilevel.level{j}.{stage}")];
+            assert!(
+                stage.children.contains_key(kernel),
+                "level{j}: {kernel} missing under its stage span"
             );
         }
         assert!(snap.counters[&format!("multilevel.level{j}.projected_pairs")] > 0);

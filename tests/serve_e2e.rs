@@ -20,7 +20,8 @@ fn isolated() -> &'static Registry {
 }
 
 fn start(cfg: ServerConfig) -> Server {
-    Server::start_with_registry(cfg, isolated()).expect("bind ephemeral port")
+    cualign_telemetry::with_registry(isolated(), || Server::start(cfg))
+        .expect("bind ephemeral port")
 }
 
 /// A ring + chords graph as request JSON; `seed` varies the chord
@@ -45,8 +46,8 @@ fn align_body(n: usize, seed: usize) -> String {
     )
 }
 
-/// Scrapes one metric value off `/metrics` (0.0 when absent).
-fn metric(addr: SocketAddr, name: &str) -> f64 {
+/// Scrapes one metric value off `/metrics` (`None` when not exported).
+fn exported(addr: SocketAddr, name: &str) -> Option<f64> {
     let resp = client::get(addr, "/metrics").expect("metrics scrape");
     assert_eq!(resp.status, 200, "{}", resp.body);
     resp.body
@@ -54,7 +55,11 @@ fn metric(addr: SocketAddr, name: &str) -> f64 {
         .find(|line| line.split_whitespace().next() == Some(name))
         .and_then(|line| line.split_whitespace().nth(1))
         .map(|v| v.parse().expect("numeric metric"))
-        .unwrap_or(0.0)
+}
+
+/// Scrapes one metric value off `/metrics` (0.0 when absent).
+fn metric(addr: SocketAddr, name: &str) -> f64 {
+    exported(addr, name).unwrap_or(0.0)
 }
 
 /// Opens a connection that claims a body it never sends, pinning one
@@ -112,6 +117,13 @@ fn repeat_pair_hits_session_cache_across_concurrent_clients() {
     assert!(metric(addr, "serve_requests") >= 5.0);
     assert!(metric(addr, "serve_request_seconds_count") >= 5.0);
     assert!(metric(addr, "serve_sessions_resident") >= 1.0);
+    // The workers run under the server's registry, so the pipeline's
+    // own stage and kernel instruments are scraped with it.
+    assert!(metric(addr, "bp_runs") >= 1.0);
+    assert!(metric(addr, "overlap_builds") >= 1.0);
+    assert!(metric(addr, "session_embed_misses") >= 1.0);
+    // No request tripped the worker's panic net.
+    assert_eq!(exported(addr, "serve_panics"), Some(0.0));
     server.shutdown();
 }
 
@@ -192,6 +204,8 @@ fn malformed_and_invalid_requests_get_typed_error_bodies() {
     assert_eq!(client::get(addr, "/nope").unwrap().status, 404);
     assert_eq!(client::get(addr, "/align").unwrap().status, 405);
     assert!(metric(addr, "serve_errors") >= 5.0);
+    // Every error above was a typed answer, none a caught panic.
+    assert_eq!(exported(addr, "serve_panics"), Some(0.0));
     server.shutdown();
 }
 

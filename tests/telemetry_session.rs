@@ -6,8 +6,9 @@
 //! counters instead of build counts, plus the `StageTimings` span-tree
 //! view.
 //!
-//! Every test leaks a fresh [`Registry`] so parallel-running tests (and
-//! the globally-registered sessions of other files) cannot perturb the
+//! Every test runs its sessions under a fresh leaked [`Registry`]
+//! ([`with_registry`]) so parallel-running tests (and the
+//! globally-registered sessions of other files) cannot perturb the
 //! counts.
 
 use cualign::{AlignerConfig, AlignmentSession, SparsityChoice, StageTimings};
@@ -15,7 +16,7 @@ use cualign_embed::SpectralConfig;
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::permutation::AlignmentInstance;
 use cualign_rt::{par, Rng};
-use cualign_telemetry::Registry;
+use cualign_telemetry::{with_registry, Registry};
 
 fn test_cfg() -> AlignerConfig {
     let mut cfg = AlignerConfig {
@@ -62,7 +63,11 @@ fn stage_stats(reg: &Registry) -> [(u64, u64); 5] {
 fn invalidation_matrix_is_visible_per_stage() {
     let inst = instance(11, 120, 360);
     let reg = fresh_registry();
-    let mut s = AlignmentSession::with_registry(&inst.a, &inst.b, test_cfg(), reg).unwrap();
+    with_registry(reg, || invalidation_matrix(&inst, reg));
+}
+
+fn invalidation_matrix(inst: &AlignmentInstance, reg: &Registry) {
+    let mut s = AlignmentSession::new(&inst.a, &inst.b, test_cfg()).unwrap();
 
     // Cold run: every stage misses once, nothing hits.
     s.align().unwrap();
@@ -111,16 +116,18 @@ fn invalidation_matrix_is_visible_per_stage() {
 fn partial_pulls_attribute_to_the_right_stage() {
     let inst = instance(12, 100, 300);
     let reg = fresh_registry();
-    let mut s = AlignmentSession::with_registry(&inst.a, &inst.b, test_cfg(), reg).unwrap();
+    with_registry(reg, || {
+        let mut s = AlignmentSession::new(&inst.a, &inst.b, test_cfg()).unwrap();
 
-    s.embeddings().unwrap();
-    s.embeddings().unwrap();
-    assert_eq!(stage_stats(reg), [(1, 1), (0, 0), (0, 0), (0, 0), (0, 0)]);
+        s.embeddings().unwrap();
+        s.embeddings().unwrap();
+        assert_eq!(stage_stats(reg), [(1, 1), (0, 0), (0, 0), (0, 0), (0, 0)]);
 
-    // `artifacts()` pulls sparsify + overlap; embed/subspace hit via the
-    // dependency walk, optimize stays untouched.
-    s.artifacts().unwrap();
-    assert_eq!(stage_stats(reg), [(2, 1), (0, 1), (0, 1), (0, 1), (0, 0)]);
+        // `artifacts()` pulls sparsify + overlap; embed/subspace hit via
+        // the dependency walk, optimize stays untouched.
+        s.artifacts().unwrap();
+        assert_eq!(stage_stats(reg), [(2, 1), (0, 1), (0, 1), (0, 1), (0, 0)]);
+    });
 }
 
 /// Two sessions on distinct registries cannot see each other's traffic —
@@ -129,12 +136,14 @@ fn partial_pulls_attribute_to_the_right_stage() {
 fn per_registry_counters_are_isolated() {
     let inst = instance(13, 90, 270);
     let (ra, rb) = (fresh_registry(), fresh_registry());
-    let mut sa = AlignmentSession::with_registry(&inst.a, &inst.b, test_cfg(), ra).unwrap();
-    let mut sb = AlignmentSession::with_registry(&inst.a, &inst.b, test_cfg(), rb).unwrap();
+    let mut sa = AlignmentSession::new(&inst.a, &inst.b, test_cfg()).unwrap();
+    let mut sb = AlignmentSession::new(&inst.a, &inst.b, test_cfg()).unwrap();
 
-    sa.align().unwrap();
-    sa.align().unwrap();
-    sb.align().unwrap();
+    with_registry(ra, || {
+        sa.align().unwrap();
+        sa.align().unwrap();
+    });
+    with_registry(rb, || sb.align().unwrap());
 
     assert_eq!(stage_stats(ra), [(1, 1); 5]);
     assert_eq!(stage_stats(rb), [(0, 1); 5]);
@@ -148,11 +157,13 @@ fn per_registry_counters_are_isolated() {
 fn stage_timings_are_a_view_of_the_span_tree() {
     let inst = instance(14, 110, 330);
     let reg = fresh_registry();
-    let mut s = AlignmentSession::with_registry(&inst.a, &inst.b, test_cfg(), reg).unwrap();
-    s.align().unwrap();
-    s.update_config(|c| c.sparsity = SparsityChoice::K(9))
-        .unwrap();
-    s.align().unwrap();
+    let mut s = AlignmentSession::new(&inst.a, &inst.b, test_cfg()).unwrap();
+    with_registry(reg, || {
+        s.align().unwrap();
+        s.update_config(|c| c.sparsity = SparsityChoice::K(9))
+            .unwrap();
+        s.align().unwrap();
+    });
 
     let t = StageTimings::from_snapshot(&reg.snapshot());
     let c = s.cumulative_timings();
@@ -174,36 +185,36 @@ fn stage_timings_are_a_view_of_the_span_tree() {
 }
 
 /// The embedding stage embeds A and B concurrently, but both
-/// `embed.spectral` spans still nest under `session.embed`, whichever
-/// thread ran them, and at every thread count. The embedder records into
-/// the global registry, so each run opens its own uniquely named outer
-/// span to keep other tests' sessions out of the counted path.
+/// `embed.spectral` spans still nest under `session.embed`, in the
+/// caller's registry, whichever thread ran them, and at every thread
+/// count.
 #[test]
 fn both_embeddings_record_under_session_embed() {
     let inst = instance(15, 100, 300);
     for threads in [1, 2] {
         let reg = fresh_registry();
-        let outer = format!("embed_spans_at_{threads}_threads");
         par::with_threads(threads, || {
-            let _outer = reg.span(&outer);
-            let mut s = AlignmentSession::with_registry(&inst.a, &inst.b, test_cfg(), reg).unwrap();
-            s.embeddings().unwrap();
+            with_registry(reg, || {
+                let mut s = AlignmentSession::new(&inst.a, &inst.b, test_cfg()).unwrap();
+                s.embeddings().unwrap();
+            })
         });
-        let session = reg.snapshot().spans;
-        assert_eq!(session.get(&[&outer, "session.embed"]).unwrap().calls, 1);
-        let global = cualign_telemetry::global().snapshot().spans;
-        let embed = global
-            .get(&[&outer, "session.embed"])
+        let snap = reg.snapshot();
+        let embed = snap
+            .spans
+            .get(&["session.embed"])
             .expect("session.embed path");
+        assert_eq!(embed.calls, 1);
         assert_eq!(
             embed.children.get("embed.spectral").map(|s| s.calls),
             Some(2),
             "{threads} threads: both embeddings under session.embed"
         );
-        assert_eq!(global.get(&[&outer]).unwrap().children.len(), 1);
-        assert!(
-            global.get(&["embed.spectral"]).is_none(),
-            "{threads} threads: an embedding recorded at the root"
+        assert_eq!(
+            snap.spans.children.len(),
+            1,
+            "{threads} threads: a span recorded outside session.embed"
         );
+        assert_eq!(snap.counters["embed.builds"], 2);
     }
 }
