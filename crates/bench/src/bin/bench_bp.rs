@@ -21,9 +21,9 @@
 //! (`cualign_rt::par::with_threads`); each run is asserted against the
 //! same reference CSR and state hash, so the scaling columns
 //! (`sweep_s_<t>t`, `build_s_<t>t`) carry the bitwise check too. The
-//! headline `sweep_s`/`build_s` are the host-thread-count run;
-//! `host_cores` and `threads` record the host, and `peak_rss_mb` the
-//! process's peak resident set so far (`VmHWM`; `null` off Linux).
+//! headline `sweep_s`/`build_s` are the host-thread-count run. Every
+//! record carries the host provenance of [`JsonRecord::host`], whose
+//! `peak_rss_mb` is the process's peak resident set so far.
 //!
 //! The matcher column rounds the reference engine's own `yᶜ` and `zᶜ`
 //! after its timed sweeps — BP's real rounding inputs — once with each
@@ -34,7 +34,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use cualign_bench::{json::JsonRecord, peak_rss_mb};
+use cualign_bench::json::JsonRecord;
 use cualign_bp::{evaluate_matching, BpConfig, BpEngine};
 use cualign_graph::{BipartiteGraph, CsrGraph, Permutation, VertexId};
 use cualign_matching::{
@@ -254,9 +254,7 @@ fn main() {
             .int("l_edges", l.num_edges())
             .int("nnz", nnz)
             .int("sweeps", sweeps)
-            .int("host_cores", host)
-            .int("threads", host)
-            .num("peak_rss_mb", peak_rss_mb().unwrap_or(f64::NAN))
+            .host()
             .num("sweep_s", sweep_s)
             .num("sweep_reference_s", sweep_reference_s)
             .num("speedup", speedup)

@@ -14,20 +14,19 @@
 //! record carries both wall-clocks, node correctness and NCV-GS³ for
 //! both runs, the realized coarsening depth, and the per-level
 //! `multilevel.level<k>.*` counters (band size, BP matches, repairs)
-//! harvested from the global registry. `host_cores` and `threads`
-//! record the host: both pipelines run on every available thread.
-//! `peak_rss_mb` is the process's peak resident set over both runs
-//! (`VmHWM`; `null` off Linux).
+//! harvested from the global registry, and the host provenance of
+//! [`JsonRecord::host`]: both pipelines run on every available thread,
+//! and `peak_rss_mb` is the peak resident set over both runs.
 //! `--telemetry summary|json:PATH` additionally emits the full span-tree
 //! snapshot.
 
 use std::time::Instant;
 
 use cualign::{Aligner, AlignerConfig};
-use cualign_bench::{env_u64, json::JsonRecord, peak_rss_mb};
+use cualign_bench::{env_u64, json::JsonRecord};
 use cualign_graph::generators::erdos_renyi_gnm;
 use cualign_graph::permutation::AlignmentInstance;
-use cualign_rt::{par, Rng};
+use cualign_rt::Rng;
 
 const RECORD_PATH: &str = "BENCH_multilevel.json";
 
@@ -98,9 +97,7 @@ fn main() {
         .int("levels_requested", levels)
         .int("depth", depth)
         .int("bp_iters", bp_iters)
-        .int("host_cores", par::threads())
-        .int("threads", par::threads())
-        .num("peak_rss_mb", peak_rss_mb().unwrap_or(f64::NAN))
+        .host()
         .num("flat_s", flat_s)
         .num("multilevel_s", ml_s)
         .num("speedup", speedup)

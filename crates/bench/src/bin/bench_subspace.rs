@@ -26,7 +26,8 @@
 //! count the quadratic reference alignment is skipped and the record
 //! carries `reference_s: null`. `CUALIGN_BENCH_EMBED_NS` (default
 //! `400,4000`) is the embed grid. `CUALIGN_BENCH_SUBSPACE_OUT` overrides
-//! the sink path. Every record carries `host_cores` and `threads`.
+//! the sink path. Every record carries the host provenance of
+//! [`JsonRecord::host`]: `host_cores`, `threads`, `peak_rss_mb`, `isa`.
 
 use std::io::Write;
 use std::time::Instant;
@@ -40,7 +41,7 @@ use cualign_graph::generators::barabasi_albert;
 use cualign_graph::{CsrGraph, Permutation};
 use cualign_linalg::qr::{householder_qr, householder_qr_reference, QrDecomposition};
 use cualign_linalg::{sinkhorn, sinkhorn_reference, DenseMatrix};
-use cualign_rt::{par, Rng};
+use cualign_rt::Rng;
 
 const SEED: u64 = 42;
 
@@ -136,10 +137,6 @@ fn time_qr(a: &DenseMatrix, qr: fn(&DenseMatrix) -> QrDecomposition) -> (f64, Qr
     (times[QR_REPS / 2], out.expect("QR_REPS > 0"))
 }
 
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |c| c.get())
-}
-
 /// One `"bench":"embed"` record: QR against its oracle on the default
 /// spectral block at `n` rows, then one default spectral embedding.
 fn embed_record(n: usize) -> String {
@@ -167,8 +164,7 @@ fn embed_record(n: usize) -> String {
         .str("bench", "embed")
         .int("n", n)
         .int("block", block)
-        .int("host_cores", host_cores())
-        .int("threads", par::threads())
+        .host()
         .num("qr_s", qr_s)
         .num("qr_reference_s", qr_reference_s)
         .num("speedup", speedup)
@@ -213,8 +209,7 @@ fn main() {
                 .int("anchors", anchors)
                 .int("d", d)
                 .int("iterations", iters)
-                .int("host_cores", host_cores())
-                .int("threads", par::threads())
+                .host()
                 .num("fast_s", fast_s)
                 .num(
                     "final_round_cost",

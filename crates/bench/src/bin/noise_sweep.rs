@@ -46,7 +46,9 @@ fn main() {
             let b = rewire(&p.apply_to_graph(&a), noise_pct, &mut rng);
 
             let cfg = h.aligner_config(density);
-            let k = cfg.resolve_k(a.num_vertices(), b.num_vertices());
+            let k = cfg
+                .resolve_k(a.num_vertices(), b.num_vertices())
+                .expect("grid density is in (0, 1]");
             let mut session =
                 AlignmentSession::new(&a, &b, cfg).expect("harness instances are non-degenerate");
             let cu = session.align().expect("grid density yields non-empty L");

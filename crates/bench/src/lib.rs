@@ -64,19 +64,20 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Peak resident set size of this process in MiB, read from `VmHWM` in
-/// `/proc/self/status`; `None` where that file or field is absent
-/// (non-Linux hosts).
-pub fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb: f64 = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))?
-        .split_whitespace()
-        .next()?
-        .parse()
-        .ok()?;
-    Some(kb / 1024.0)
+/// The widest x86 vector extension this binary was compiled for:
+/// `avx512f`, `avx2` or `sse2` (`none` on other targets). Timings from
+/// builds for different extensions are not comparable; results are
+/// the same bits.
+pub fn isa() -> &'static str {
+    if cfg!(target_feature = "avx512f") {
+        "avx512f"
+    } else if cfg!(target_feature = "avx2") {
+        "avx2"
+    } else if cfg!(target_feature = "sse2") {
+        "sse2"
+    } else {
+        "none"
+    }
 }
 
 /// The harness-wide configuration resolved from the environment.
@@ -206,7 +207,8 @@ pub const DNF_NNZ_LIMIT: usize = 120_000_000;
 /// without building anything: `|E_L| · d̄_A · d̄_B · density`-ish upper
 /// estimate from the degree distribution.
 pub fn projected_nnz(a: &CsrGraph, b: &CsrGraph, density: f64) -> usize {
-    let k = cualign_sparsify::density_to_k(a.num_vertices(), b.num_vertices(), density);
+    let k = cualign_sparsify::density_to_k(a.num_vertices(), b.num_vertices(), density)
+        .expect("harness densities are in (0, 1]");
     let edges_l = 2 * k * a.num_vertices().max(b.num_vertices());
     let da = a.average_degree();
     let db = b.average_degree();
@@ -390,6 +392,21 @@ pub mod json {
             self
         }
 
+        /// Adds the host provenance every timing record carries:
+        /// `host_cores` (the OS's available parallelism), `threads`
+        /// (the executor's thread count on the calling thread),
+        /// `peak_rss_mb` (the process's `VmHWM` so far, `null` off
+        /// Linux) and `isa` ([`crate::isa`]).
+        pub fn host(self) -> Self {
+            let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            let peak_rss_mb = cualign_telemetry::peak_rss_bytes()
+                .map_or(f64::NAN, |b| b as f64 / (1024.0 * 1024.0));
+            self.int("host_cores", host_cores)
+                .int("threads", cualign_rt::par::threads())
+                .num("peak_rss_mb", peak_rss_mb)
+                .str("isa", crate::isa())
+        }
+
         /// Closes the record into one `{...}` line.
         pub fn finish(self) -> String {
             format!("{{{}}}", self.buf)
@@ -419,10 +436,17 @@ mod tests {
     }
 
     #[test]
-    fn peak_rss_is_positive_where_reported() {
-        if let Some(mb) = peak_rss_mb() {
-            assert!(mb > 0.0, "VmHWM read as {mb} MiB");
-        }
+    fn host_stamp_names_the_compiled_isa() {
+        let line = json::JsonRecord::new().host().finish();
+        assert!(line.contains("\"host_cores\":"), "{line}");
+        assert!(line.contains("\"threads\":"), "{line}");
+        assert!(line.contains("\"peak_rss_mb\":"), "{line}");
+        assert!(
+            line.ends_with(&format!("\"isa\":\"{}\"}}", isa())),
+            "{line}"
+        );
+        #[cfg(target_arch = "x86_64")]
+        assert_ne!(isa(), "none", "every x86-64 build has at least SSE2");
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl AlignerConfig {
         match self.sparsity {
             SparsityChoice::Density(d) => {
                 if !(d > 0.0 && d <= 1.0) {
-                    return bad("sparsity.density", format!("must be in (0, 1], got {d}"));
+                    return Err(invalid_density(d));
                 }
             }
             SparsityChoice::K(k) => {
@@ -193,13 +193,17 @@ impl AlignerConfig {
     }
 
     /// Resolves the sparsity choice to a per-vertex `k` for graphs of the
-    /// given sizes.
-    pub fn resolve_k(&self, na: usize, nb: usize) -> usize {
+    /// given sizes. Errors as [`AlignerConfig::validate`] does on a
+    /// density outside `(0, 1]`, which a config mutated after the
+    /// builder can hold.
+    pub fn resolve_k(&self, na: usize, nb: usize) -> Result<usize, AlignError> {
         match self.sparsity {
             SparsityChoice::K(k) | SparsityChoice::MutualK(k) | SparsityChoice::Ann { k, .. } => {
-                k.max(1)
+                Ok(k.max(1))
             }
-            SparsityChoice::Density(d) => cualign_sparsify::density_to_k(na, nb, d),
+            SparsityChoice::Density(d) => {
+                cualign_sparsify::density_to_k(na, nb, d).ok_or_else(|| invalid_density(d))
+            }
         }
     }
 
@@ -232,7 +236,11 @@ impl AlignerConfig {
     /// Weisfeiler–Lehman structural candidates (they need the graphs) —
     /// callers that hold the graph pair should use
     /// [`AlignerConfig::build_l_with_graphs`], which the session does.
-    pub fn build_l(&self, ya: &DenseMatrix, yb: &DenseMatrix) -> BipartiteGraph {
+    pub fn build_l(
+        &self,
+        ya: &DenseMatrix,
+        yb: &DenseMatrix,
+    ) -> Result<BipartiteGraph, AlignError> {
         self.build_l_with_graphs(ya, yb, None)
     }
 
@@ -248,15 +256,17 @@ impl AlignerConfig {
         ya: &DenseMatrix,
         yb: &DenseMatrix,
         graphs: Option<(&CsrGraph, &CsrGraph)>,
-    ) -> BipartiteGraph {
+    ) -> Result<BipartiteGraph, AlignError> {
         match self.sparsity {
             SparsityChoice::K(_) | SparsityChoice::Density(_) => {
-                let k = self.resolve_k(ya.rows(), yb.rows());
-                cualign_sparsify::build_alignment_graph(ya, yb, k)
+                let k = self.resolve_k(ya.rows(), yb.rows())?;
+                Ok(cualign_sparsify::build_alignment_graph(ya, yb, k))
             }
-            SparsityChoice::MutualK(k) => {
-                cualign_sparsify::build_alignment_graph_mutual(ya, yb, k.max(1))
-            }
+            SparsityChoice::MutualK(k) => Ok(cualign_sparsify::build_alignment_graph_mutual(
+                ya,
+                yb,
+                k.max(1),
+            )),
             SparsityChoice::Ann {
                 k,
                 bands,
@@ -278,9 +288,20 @@ impl AlignerConfig {
                     }
                     _ => Vec::new(),
                 };
-                cualign_sparsify::build_alignment_graph_ann(ya, yb, &ann, &wl_pairs)
+                Ok(cualign_sparsify::build_alignment_graph_ann(
+                    ya, yb, &ann, &wl_pairs,
+                ))
             }
         }
+    }
+}
+
+/// The error for a density outside `(0, 1]`, shared by
+/// [`AlignerConfig::validate`] and [`AlignerConfig::resolve_k`].
+fn invalid_density(d: f64) -> AlignError {
+    AlignError::InvalidConfig {
+        field: "sparsity.density",
+        reason: format!("must be in (0, 1], got {d}"),
     }
 }
 
@@ -446,7 +467,7 @@ mod tests {
     fn default_is_paper_operating_point() {
         let cfg = AlignerConfig::default();
         assert_eq!(cfg.sparsity, SparsityChoice::Density(0.025));
-        assert_eq!(cfg.resolve_k(1000, 1000), 25);
+        assert_eq!(cfg.resolve_k(1000, 1000).unwrap(), 25);
     }
 
     #[test]
@@ -455,12 +476,12 @@ mod tests {
             sparsity: SparsityChoice::K(7),
             ..Default::default()
         };
-        assert_eq!(cfg.resolve_k(10_000, 10_000), 7);
+        assert_eq!(cfg.resolve_k(10_000, 10_000).unwrap(), 7);
         let zero = AlignerConfig {
             sparsity: SparsityChoice::K(0),
             ..Default::default()
         };
-        assert_eq!(zero.resolve_k(10, 10), 1, "k floors at 1");
+        assert_eq!(zero.resolve_k(10, 10).unwrap(), 1, "k floors at 1");
     }
 
     #[test]
@@ -469,7 +490,22 @@ mod tests {
             sparsity: SparsityChoice::MutualK(9),
             ..Default::default()
         };
-        assert_eq!(m.resolve_k(100, 100), 9);
+        assert_eq!(m.resolve_k(100, 100).unwrap(), 9);
+    }
+
+    #[test]
+    fn mutated_density_resolves_to_typed_error() {
+        for bad in [0.0, 1.5, f64::NAN] {
+            let mut cfg = AlignerConfig::builder().build().unwrap();
+            cfg.sparsity = SparsityChoice::Density(bad);
+            assert!(matches!(
+                cfg.resolve_k(100, 100),
+                Err(AlignError::InvalidConfig {
+                    field: "sparsity.density",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
@@ -631,12 +667,14 @@ mod tests {
             sparsity: SparsityChoice::K(4),
             ..Default::default()
         }
-        .build_l(&ya, &yb);
+        .build_l(&ya, &yb)
+        .unwrap();
         let mutual = AlignerConfig {
             sparsity: SparsityChoice::MutualK(4),
             ..Default::default()
         }
-        .build_l(&ya, &yb);
+        .build_l(&ya, &yb)
+        .unwrap();
         assert!(mutual.num_edges() <= union.num_edges());
         // Identical embeddings: the diagonal (w = 1) must survive any rule.
         for i in 0..30u32 {
@@ -653,10 +691,10 @@ mod tests {
         let ya = DenseMatrix::gaussian(40, 8, &mut rng);
         let yb = ya.clone();
         let cfg = AlignerConfig::builder().ann(4, 8, 6, 2).build().unwrap();
-        assert_eq!(cfg.resolve_k(40, 40), 4);
+        assert_eq!(cfg.resolve_k(40, 40).unwrap(), 4);
         // Identical embeddings hash identically, so every self pair
         // collides in every band and the diagonal survives.
-        let l = cfg.build_l(&ya, &yb);
+        let l = cfg.build_l(&ya, &yb).unwrap();
         for i in 0..40u32 {
             assert!(l.edge_id(i, i).is_some(), "diagonal ({i},{i}) pruned");
         }
@@ -664,11 +702,13 @@ mod tests {
         // the graphs over can only add (structural) candidates.
         let edges: Vec<(u32, u32)> = (0..39u32).map(|i| (i, i + 1)).collect();
         let g = CsrGraph::from_edges(40, &edges);
-        let l2 = cfg.build_l_with_graphs(&ya, &yb, Some((&g, &g)));
+        let l2 = cfg.build_l_with_graphs(&ya, &yb, Some((&g, &g))).unwrap();
         assert!(l2.num_edges() >= l.num_edges());
         // Mismatched graph sizes are ignored, not a panic.
         let small = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let l3 = cfg.build_l_with_graphs(&ya, &yb, Some((&small, &small)));
+        let l3 = cfg
+            .build_l_with_graphs(&ya, &yb, Some((&small, &small)))
+            .unwrap();
         assert_eq!(l3.num_edges(), l.num_edges());
     }
 }

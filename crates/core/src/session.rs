@@ -590,6 +590,7 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
             self.cfg
                 .build_l_with_graphs(&sub.ya, &sub.yb, Some((self.a.borrow(), self.b.borrow())))
         });
+        let l = l?;
         if l.num_edges() == 0 {
             return Err(AlignError::EmptySparsification);
         }

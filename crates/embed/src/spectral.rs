@@ -1,9 +1,10 @@
 //! Spectral proximity embedding — the pipeline's embedder.
 //!
 //! Computes the dominant `d`-dimensional eigenspace of the symmetric
-//! normalized adjacency `S = D^{-1/2} A D^{-1/2}` by block power iteration
-//! with periodic re-orthonormalization, followed by a Rayleigh–Ritz
-//! projection (Jacobi eigendecomposition of the small `QᵀSQ`).
+//! normalized adjacency `S = D^{-1/2} A D^{-1/2}` by block power
+//! iteration, re-orthonormalized by QR after every step, followed by a
+//! Rayleigh–Ritz projection (Jacobi eigendecomposition of the small
+//! `QᵀSQ`).
 //!
 //! Why this embedder for *alignment*: the eigenspace of `S` is a function
 //! of the graph alone. For isomorphic graphs `B = P(A)` the embeddings are

@@ -15,8 +15,12 @@
 //! * **Micro-kernel** (`micro4`): a 4×[`NR`] register tile — four A-rows
 //!   against one panel — with 16 independent scalar accumulators. The
 //!   lane loop is a constant-trip-count loop over a 4-wide array, which
-//!   LLVM auto-vectorizes to 256-bit FMAs without `unsafe` or
-//!   intrinsics.
+//!   LLVM auto-vectorizes without `unsafe` or intrinsics: to 128-bit
+//!   SSE2 multiplies and adds for baseline x86-64, to 256-bit ones when
+//!   the build targets an AVX2 host (the workspace's
+//!   `.cargo/config.toml` builds for the host CPU). No build emits FMAs:
+//!   Rust never contracts `a * b + c`, which is why the vector width
+//!   does not change the bits.
 //! * **Parallelism**: [`matmul`] splits the *output* rows into
 //!   `ROW_BLOCK` (32)-row chunks run by `cualign_rt::par`; chunks are
 //!   disjoint, so the result is deterministic under any thread count.

@@ -32,7 +32,8 @@
 //! ```
 //!
 //! Endpoints: `POST /align`, `POST /sweep`, `GET /metrics` (Prometheus
-//! text), `GET /healthz`, `POST /shutdown`. Saturation answers `503` +
+//! text; the `process_peak_rss_bytes` gauge is read at each scrape),
+//! `GET /healthz`, `POST /shutdown`. Saturation answers `503` +
 //! `Retry-After`; requests queued past the deadline answer `504`.
 
 #![deny(unsafe_code)]

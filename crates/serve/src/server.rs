@@ -80,6 +80,8 @@ struct Metrics {
     session_evictions: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     sessions_resident: Arc<Gauge>,
+    /// The process's peak resident set (`VmHWM`), read at each scrape.
+    peak_rss_bytes: Arc<Gauge>,
     request_seconds: Arc<Histogram>,
 }
 
@@ -96,6 +98,7 @@ impl Metrics {
             session_evictions: registry.counter("serve.session_evictions"),
             queue_depth: registry.gauge("serve.queue_depth"),
             sessions_resident: registry.gauge("serve.sessions_resident"),
+            peak_rss_bytes: registry.gauge("process.peak_rss_bytes"),
             request_seconds: registry.histogram("serve.request_seconds"),
         }
     }
@@ -403,6 +406,9 @@ fn handle_job(shared: &Shared, mut job: Job) {
             );
         }
         ("GET", "/metrics") => {
+            if let Some(bytes) = cualign_telemetry::peak_rss_bytes() {
+                shared.metrics.peak_rss_bytes.set(bytes as f64);
+            }
             let text = shared.registry.snapshot().to_prometheus();
             let _ = http::write_response(
                 &mut job.stream,

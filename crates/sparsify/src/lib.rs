@@ -56,11 +56,14 @@ use std::collections::HashSet;
 /// bipartite graph, in `(0, 1]`) into the per-vertex neighbor count `k`.
 ///
 /// `k = max(1, round(density · min(na, nb)))` — a per-side kNN union with
-/// this `k` retains close to `density · na · nb` edges.
-pub fn density_to_k(na: usize, nb: usize, density: f64) -> usize {
-    assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
+/// this `k` retains close to `density · na · nb` edges. `None` for a
+/// density outside `(0, 1]`, NaN included.
+pub fn density_to_k(na: usize, nb: usize, density: f64) -> Option<usize> {
+    if !(density > 0.0 && density <= 1.0) {
+        return None;
+    }
     let base = na.min(nb) as f64;
-    ((density * base).round() as usize).max(1)
+    Some(((density * base).round() as usize).max(1))
 }
 
 /// Builds the sparsified alignment graph `L` from aligned embeddings:
@@ -104,17 +107,6 @@ pub fn build_alignment_graph_mutual(
     BipartiteGraph::from_weighted_edges(ya.rows(), yb.rows(), &mutual)
 }
 
-/// Builds `L` at a target density of the complete bipartite graph
-/// (the paper's Figures 4–6 sweep knob).
-pub fn build_alignment_graph_density(
-    ya: &DenseMatrix,
-    yb: &DenseMatrix,
-    density: f64,
-) -> BipartiteGraph {
-    let k = density_to_k(ya.rows(), yb.rows(), density);
-    build_alignment_graph(ya, yb, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,16 +126,18 @@ mod tests {
 
     #[test]
     fn density_to_k_basics() {
-        assert_eq!(density_to_k(1000, 1000, 0.01), 10);
-        assert_eq!(density_to_k(1000, 1000, 0.025), 25);
-        assert_eq!(density_to_k(100, 100, 0.001), 1); // floor at 1
-        assert_eq!(density_to_k(4000, 4000, 0.01), 40);
+        assert_eq!(density_to_k(1000, 1000, 0.01), Some(10));
+        assert_eq!(density_to_k(1000, 1000, 0.025), Some(25));
+        assert_eq!(density_to_k(100, 100, 0.001), Some(1)); // floor at 1
+        assert_eq!(density_to_k(4000, 4000, 0.01), Some(40));
+        assert_eq!(density_to_k(10, 10, 1.0), Some(10));
     }
 
     #[test]
-    #[should_panic(expected = "density")]
     fn density_rejects_out_of_range() {
-        let _ = density_to_k(10, 10, 0.0);
+        for d in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(density_to_k(10, 10, d), None, "density {d}");
+        }
     }
 
     #[test]
@@ -228,7 +222,8 @@ mod tests {
     #[test]
     fn density_builder_tracks_target() {
         let (ya, yb) = planted_embeddings(200, 8, 0.3, 6);
-        let l = build_alignment_graph_density(&ya, &yb, 0.05);
+        let k = density_to_k(200, 200, 0.05).expect("0.05 is in (0, 1]");
+        let l = build_alignment_graph(&ya, &yb, k);
         let density = l.num_edges() as f64 / (200.0 * 200.0);
         assert!(
             (0.04..=0.11).contains(&density),

@@ -88,6 +88,21 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Peak resident set size of this process in bytes, read from `VmHWM`
+/// in `/proc/self/status`; `None` where that file or field is absent
+/// (non-Linux hosts).
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    kib.checked_mul(1024)
+}
+
 /// Serializes this crate's tests that set or depend on the process-global
 /// enabled flag: `cargo test` runs a binary's tests on parallel threads,
 /// and one test switching the flag off drops another's spans.
@@ -96,4 +111,16 @@ pub(crate) fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn peak_rss_is_positive_where_reported() {
+        if let Some(bytes) = peak_rss_bytes() {
+            assert!(bytes > 0, "VmHWM read as {bytes} bytes");
+        }
+    }
 }

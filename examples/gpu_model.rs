@@ -38,7 +38,9 @@ fn main() {
     let y2 = spectral_embedding(&inst.b, &cfg_b);
     let sub = align_subspaces(&y1, &y2, &inst.a, &inst.b, &cfg.subspace)
         .expect("pipeline-produced embeddings always match their graphs");
-    let k = cfg.resolve_k(inst.a.num_vertices(), inst.b.num_vertices());
+    let k = cfg
+        .resolve_k(inst.a.num_vertices(), inst.b.num_vertices())
+        .expect("the builder checked the density");
     let l = build_alignment_graph(&sub.ya, &sub.yb, k);
     let s = OverlapMatrix::build(&inst.a, &inst.b, &l);
     println!(

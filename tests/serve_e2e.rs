@@ -124,6 +124,10 @@ fn repeat_pair_hits_session_cache_across_concurrent_clients() {
     assert!(metric(addr, "session_embed_misses") >= 1.0);
     // No request tripped the worker's panic net.
     assert_eq!(exported(addr, "serve_panics"), Some(0.0));
+    // The process's peak resident set is read at scrape time.
+    if cfg!(target_os = "linux") {
+        assert!(metric(addr, "process_peak_rss_bytes") > 0.0);
+    }
     server.shutdown();
 }
 
