@@ -5,7 +5,8 @@
 //! `Y`, the minimizer of `‖X Q − Y‖_F` over orthogonal `Q` is `Q = U Vᵀ`
 //! where `Xᵀ Y = U Σ Vᵀ`. The cross-covariance is only `d × d`, but the
 //! one-sided Jacobi SVD of it is not free: at `d = 64` one call takes
-//! ≈ 2.5–3 ms on a 2-vCPU host, and the subspace alternation makes one
+//! ≈ 2.3–2.8 ms on a 2-vCPU AVX-512 host built for its CPU (2.7–4.4 ms
+//! built for baseline x86-64), and the subspace alternation makes one
 //! per round (9 per default op). It is the larger half of the
 //! `subspace.procrustes` + `subspace.project` time.
 
