@@ -152,7 +152,7 @@ fn embed_record(n: usize) -> String {
     );
     let g = barabasi_albert(n, 4, &mut rng);
     let t = Instant::now();
-    let emb = spectral_embedding(&g, &cfg);
+    let emb = spectral_embedding(&g, &cfg).expect("the default block fits the embed grid");
     let embed_s = t.elapsed().as_secs_f64();
     assert_eq!((emb.rows(), emb.cols()), (n, cfg.dim));
     let speedup = qr_reference_s / qr_s;

@@ -101,6 +101,22 @@ impl From<cualign_embed::SubspaceError> for AlignError {
     }
 }
 
+impl From<cualign_embed::SpectralError> for AlignError {
+    fn from(e: cualign_embed::SpectralError) -> Self {
+        // The spectral kernel re-checks what the session checks up front,
+        // so its errors land on the same variants.
+        match e {
+            cualign_embed::SpectralError::ZeroDim => AlignError::InvalidConfig {
+                field: "embedding.dim",
+                reason: "must be at least 1".into(),
+            },
+            cualign_embed::SpectralError::BlockExceedsVertices { dim, vertices, .. } => {
+                AlignError::DimExceedsVertices { dim, vertices }
+            }
+        }
+    }
+}
+
 impl fmt::Display for AlignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -179,5 +195,31 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn spectral_errors_convert_to_the_session_checks_variants() {
+        use cualign_embed::SpectralError;
+        let dim: AlignError = SpectralError::ZeroDim.into();
+        assert!(matches!(
+            dim,
+            AlignError::InvalidConfig {
+                field: "embedding.dim",
+                ..
+            }
+        ));
+        let block: AlignError = SpectralError::BlockExceedsVertices {
+            dim: 64,
+            oversample: 16,
+            vertices: 70,
+        }
+        .into();
+        assert_eq!(
+            block,
+            AlignError::DimExceedsVertices {
+                dim: 64,
+                vertices: 70
+            }
+        );
     }
 }

@@ -393,8 +393,8 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
         }
         let smaller = a.num_vertices().min(b.num_vertices());
         // dim plus the oversampling block, not dim alone: the spectral
-        // kernel asserts that bound — it must surface here as a typed
-        // error, never as a worker panic on a small network-supplied graph.
+        // kernel rejects the same bound, and this check reports it before
+        // any stage runs.
         let block = cfg.embedding.dim.saturating_add(cfg.embedding.oversample);
         if block > smaller {
             return Err(AlignError::DimExceedsVertices {
@@ -482,11 +482,11 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
 
     // -- stage 1: embeddings ------------------------------------------
 
-    fn ensure_embeddings(&mut self) -> StageOutcome {
+    fn ensure_embeddings(&mut self) -> Result<StageOutcome, AlignError> {
         let fp = embedding_fingerprint(&self.cfg.embedding);
         if matches!(&self.embeddings, Some(c) if c.fingerprint == fp) {
             count_lookup("embed", true);
-            return StageOutcome::hit();
+            return Ok(StageOutcome::hit());
         }
         count_lookup("embed", false);
         let (value, seconds) = cualign_telemetry::current().timed("session.embed", || {
@@ -503,7 +503,7 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
             };
             let sides = [(cfg_a, self.a.borrow()), (cfg_b, self.b.borrow())];
             let ctx = SpanContext::current();
-            let mut ys = [DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0)];
+            let mut ys = [Ok(DenseMatrix::zeros(0, 0)), Ok(DenseMatrix::zeros(0, 0))];
             par::map(&mut ys, 1, |i| {
                 let _ctx = ctx.enter();
                 let (cfg, g) = &sides[i];
@@ -513,27 +513,27 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
                 spectral_embedding(g, cfg)
             });
             let [y1, y2] = ys;
-            Embeddings { y1, y2 }
+            Ok::<_, AlignError>(Embeddings { y1: y1?, y2: y2? })
         });
         self.embeddings = Some(Cached {
             fingerprint: fp,
-            value,
+            value: value?,
         });
         self.counters.embedding_builds += 1;
         self.cumulative.embedding_s += seconds;
-        StageOutcome::built()
+        Ok(StageOutcome::built())
     }
 
     /// The stage-1 artifact: proximity embeddings of both graphs.
     pub fn embeddings(&mut self) -> Result<&Embeddings, AlignError> {
-        self.ensure_embeddings();
+        self.ensure_embeddings()?;
         Ok(&cached(&self.embeddings, "embeddings")?.value)
     }
 
     // -- stage 2: subspace alignment ----------------------------------
 
     fn ensure_subspace(&mut self) -> Result<StageOutcome, AlignError> {
-        let upstream = self.ensure_embeddings();
+        let upstream = self.ensure_embeddings()?;
         let fp = subspace_fingerprint(
             cached(&self.embeddings, "embeddings")?.fingerprint,
             &self.cfg.subspace,

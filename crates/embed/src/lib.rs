@@ -26,7 +26,9 @@
 pub mod spectral;
 pub mod subspace;
 
-pub use spectral::{spectral_embedding, SpectralConfig};
+pub use spectral::{
+    spectral_embedding, spectral_embedding_reference, SpectralConfig, SpectralError,
+};
 pub use subspace::{
     align_subspaces, align_subspaces_reference, pairwise_cost, pairwise_cost_reference,
     structural_features, structural_features_for, SubspaceAlignConfig, SubspaceAlignment,

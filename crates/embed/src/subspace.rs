@@ -698,7 +698,8 @@ mod tests {
                 dim: 16,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let q0 = orthonormalize(&DenseMatrix::gaussian(16, 16, &mut rng));
         let rotated = y1.matmul(&q0);
         let mut y2 = DenseMatrix::zeros(150, 16);
@@ -735,7 +736,8 @@ mod tests {
                 dim: 8,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let y2 = spectral_embedding(
             &gb,
             &SpectralConfig {
@@ -743,7 +745,8 @@ mod tests {
                 seed: 99,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let out = align_subspaces(&y1, &y2, &ga, &gb, &SubspaceAlignConfig::default())
             .expect("valid inputs");
         assert!(out.rotation.is_orthonormal(1e-8));
@@ -785,7 +788,8 @@ mod tests {
                 dim: 12,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let q0 = orthonormalize(&DenseMatrix::gaussian(12, 12, &mut rng));
         let rotated = y1.matmul(&q0);
         let mut y2 = DenseMatrix::zeros(120, 12);
@@ -950,7 +954,8 @@ mod tests {
                 dim: 8,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let q0 = orthonormalize(&DenseMatrix::gaussian(8, 8, &mut rng));
         let rotated = y1.matmul(&q0);
         let mut y2 = DenseMatrix::zeros(60, 8);

@@ -2,8 +2,9 @@
 //!
 //! QR is the dominant cost of the default spectral embedder: its block
 //! subspace iteration re-orthonormalizes an `n × (dim + oversample)` block
-//! after every sparse propagation, and thin QR of an `m × k` matrix costs
-//! `O(m k²)` against the propagation's `O(nnz · k)`. It is also the NetMF
+//! after every fifth sparse propagation and after the last, and thin QR
+//! of an `m × k` matrix costs `O(m k²)` against the propagation's
+//! `O(nnz · k)`. It is also the NetMF
 //! embedder's randomized range finder and the tall-input reduction inside
 //! [`jacobi_svd`].
 //!

@@ -39,6 +39,7 @@ pub const REQUIRED_KERNELS: &[&str] = &[
     "pairwise_cost",
     "symmetric_eigen",
     "suitor_matching",
+    "spectral_embedding",
 ];
 
 fn diag(line: usize, message: String) -> Diagnostic {

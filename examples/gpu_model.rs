@@ -30,12 +30,14 @@ fn main() {
         sparsity: SparsityChoice::Density(0.01),
         ..Default::default()
     };
-    let y1 = spectral_embedding(&inst.a, &cfg.embedding);
+    let y1 = spectral_embedding(&inst.a, &cfg.embedding)
+        .expect("the default block fits the 2000-vertex graphs");
     let cfg_b = SpectralConfig {
         seed: cfg.embedding.seed.wrapping_add(1),
         ..cfg.embedding
     };
-    let y2 = spectral_embedding(&inst.b, &cfg_b);
+    let y2 =
+        spectral_embedding(&inst.b, &cfg_b).expect("the default block fits the 2000-vertex graphs");
     let sub = align_subspaces(&y1, &y2, &inst.a, &inst.b, &cfg.subspace)
         .expect("pipeline-produced embeddings always match their graphs");
     let k = cfg

@@ -30,12 +30,12 @@ fn front_half(
         sparsity: SparsityChoice::K(k),
         ..Default::default()
     };
-    let y1 = spectral_embedding(&inst.a, &cfg.embedding);
+    let y1 = spectral_embedding(&inst.a, &cfg.embedding).expect("valid embedding config");
     let cfg_b = SpectralConfig {
         seed: cfg.embedding.seed.wrapping_add(1),
         ..cfg.embedding
     };
-    let y2 = spectral_embedding(&inst.b, &cfg_b);
+    let y2 = spectral_embedding(&inst.b, &cfg_b).expect("valid embedding config");
     let sub = align_subspaces(&y1, &y2, &inst.a, &inst.b, &cfg.subspace).expect("valid inputs");
     let l = build_alignment_graph(&sub.ya, &sub.yb, k);
     (inst.a.clone(), inst.b.clone(), l, inst)
@@ -144,12 +144,12 @@ fn sparsification_monotonicity() {
     let a = erdos_renyi_gnm(120, 360, &mut rng);
     let inst = AlignmentInstance::permuted_pair(a, &mut rng);
     let cfg = AlignerConfig::default();
-    let y1 = spectral_embedding(&inst.a, &cfg.embedding);
+    let y1 = spectral_embedding(&inst.a, &cfg.embedding).expect("valid embedding config");
     let cfg_b = SpectralConfig {
         seed: cfg.embedding.seed.wrapping_add(1),
         ..cfg.embedding
     };
-    let y2 = spectral_embedding(&inst.b, &cfg_b);
+    let y2 = spectral_embedding(&inst.b, &cfg_b).expect("valid embedding config");
     let sub = align_subspaces(&y1, &y2, &inst.a, &inst.b, &cfg.subspace).expect("valid inputs");
     let mut last_edges = 0;
     let mut last_survivors = 0;

@@ -26,12 +26,12 @@ fn pipeline_structures(n: usize, seed: u64, k: usize) -> (BipartiteGraph, Overla
         sparsity: SparsityChoice::K(k),
         ..Default::default()
     };
-    let y1 = spectral_embedding(&inst.a, &cfg.embedding);
+    let y1 = spectral_embedding(&inst.a, &cfg.embedding).expect("valid embedding config");
     let cfg_b = SpectralConfig {
         seed: cfg.embedding.seed.wrapping_add(1),
         ..cfg.embedding
     };
-    let y2 = spectral_embedding(&inst.b, &cfg_b);
+    let y2 = spectral_embedding(&inst.b, &cfg_b).expect("valid embedding config");
     let sub = align_subspaces(&y1, &y2, &inst.a, &inst.b, &cfg.subspace).expect("valid inputs");
     let l = build_alignment_graph(&sub.ya, &sub.yb, k);
     let s = OverlapMatrix::build(&inst.a, &inst.b, &l);

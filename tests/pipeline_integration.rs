@@ -285,7 +285,7 @@ fn spectral_embedding_is_identical_at_every_thread_count() {
     let g = erdos_renyi_gnm(400, 8000, &mut Rng::new(9));
     let run = |threads: usize| {
         cualign_rt::par::with_threads(threads, || {
-            spectral_embedding(&g, &SpectralConfig::default())
+            spectral_embedding(&g, &SpectralConfig::default()).unwrap()
         })
     };
     let one = run(1);

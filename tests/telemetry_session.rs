@@ -184,6 +184,25 @@ fn stage_timings_are_a_view_of_the_span_tree() {
     assert_eq!(t.cache_hits, 2, "embed + subspace hit on the second run");
 }
 
+/// One embedding stage at the default config orthonormalizes each side's
+/// block 4 times over its 20 power steps (after steps 5, 10, 15 and 20),
+/// where a QR after every step and of the start block would take 21.
+#[test]
+fn embedding_stage_counts_its_orthonormalizations() {
+    let inst = instance(16, 120, 480);
+    let cfg = AlignerConfig::default();
+    assert_eq!(cfg.embedding.iters, 20);
+    let reg = fresh_registry();
+    with_registry(reg, || {
+        let mut s = AlignmentSession::new(&inst.a, &inst.b, cfg).unwrap();
+        s.embeddings().unwrap();
+        s.embeddings().unwrap(); // a cache hit runs no QR
+    });
+    let snap = reg.snapshot();
+    assert_eq!(snap.counters["embed.builds"], 2);
+    assert_eq!(snap.counters["embed.orthonormalizations"], 8);
+}
+
 /// The embedding stage embeds A and B concurrently, but both
 /// `embed.spectral` spans still nest under `session.embed`, in the
 /// caller's registry, whichever thread ran them, and at every thread
