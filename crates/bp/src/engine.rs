@@ -63,7 +63,7 @@ pub enum MatcherKind {
 }
 
 /// Belief propagation configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BpConfig {
     /// Weight of the linear (matching-weight) objective term.
     pub alpha: f64,

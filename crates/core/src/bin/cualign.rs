@@ -14,7 +14,8 @@
 //! ```
 //!
 //! Graphs are whitespace-separated edge lists (`# comments` allowed); the
-//! mapping output is one `u <TAB> v` pair per line.
+//! mapping output is one `u <TAB> v` pair per line. Each command rejects
+//! a flag it does not take, and `align` rejects `--k` with `--density`.
 //!
 //! `--telemetry summary` prints the span-tree/counter digest to stderr
 //! after the run; `--telemetry json:PATH` appends one JSON snapshot line
@@ -44,6 +45,43 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         i += 2;
     }
     Ok(map)
+}
+
+/// The flags each command takes (`telemetry` is read by `main` for all).
+const ALIGN_FLAGS: &[&str] = &[
+    "graph-a",
+    "graph-b",
+    "density",
+    "k",
+    "ann-bands",
+    "ann-bits",
+    "ann-probes",
+    "bp-iters",
+    "dim",
+    "multilevel",
+    "subspace-anchors",
+    "subspace-iters",
+    "sinkhorn-epsilon",
+    "method",
+    "output",
+    "telemetry",
+];
+const STATS_FLAGS: &[&str] = &["graph", "telemetry"];
+const GENERATE_FLAGS: &[&str] = &["model", "vertices", "edges", "seed", "output", "telemetry"];
+
+/// Rejects a flag that `cmd` does not take, so a misspelled flag is an
+/// error instead of a silently different run.
+fn check_flags(cmd: &str, flags: &HashMap<String, String>, known: &[&str]) -> Result<(), String> {
+    let mut unknown: Vec<&str> = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !known.contains(k))
+        .collect();
+    unknown.sort_unstable();
+    match unknown.first() {
+        Some(k) => Err(format!("unknown flag --{k} for '{cmd}'")),
+        None => Ok(()),
+    }
 }
 
 fn usage() -> ExitCode {
@@ -117,6 +155,9 @@ fn load(path: &str) -> Result<CsrGraph, String> {
 /// builder, so an out-of-range `--density 3.0` fails with a clean
 /// `invalid config:` diagnostic instead of an assert deep in a stage.
 fn config_from_flags(flags: &HashMap<String, String>) -> Result<AlignerConfig, String> {
+    if flags.contains_key("k") && flags.contains_key("density") {
+        return Err("--k conflicts with --density (pick one sparsifier)".to_string());
+    }
     let mut builder = AlignerConfig::builder();
     let ann_knob = |name: &str| -> Result<Option<usize>, String> {
         flags
@@ -178,6 +219,7 @@ fn config_from_flags(flags: &HashMap<String, String>) -> Result<AlignerConfig, S
 }
 
 fn cmd_align(flags: &HashMap<String, String>) -> Result<(), String> {
+    check_flags("align", flags, ALIGN_FLAGS)?;
     let a = load(require(flags, "graph-a")?)?;
     let b = load(require(flags, "graph-b")?)?;
     let method = flags.get("method").map(|s| s.as_str()).unwrap_or("cualign");
@@ -236,6 +278,7 @@ fn cmd_align(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
+    check_flags("stats", flags, STATS_FLAGS)?;
     let g = load(require(flags, "graph")?)?;
     let ds = stats::degree_stats(&g);
     println!("vertices:   {}", g.num_vertices());
@@ -250,6 +293,7 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
+    check_flags("generate", flags, GENERATE_FLAGS)?;
     let (g, note) = generate(flags)?;
     let path = require(flags, "output")?;
     io::save_edge_list(&g, path).map_err(|e| format!("writing {path}: {e}"))?;
@@ -352,8 +396,9 @@ fn generate(flags: &HashMap<String, String>) -> Result<(CsrGraph, Option<String>
 
 #[cfg(test)]
 mod tests {
-    use super::{cmd_align, cmd_generate, config_from_flags, generate, parse_flags};
+    use super::{cmd_align, cmd_generate, cmd_stats, config_from_flags, generate, parse_flags};
     use cualign::SparsityChoice;
+    use std::collections::HashMap;
 
     fn v(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
@@ -526,6 +571,40 @@ mod tests {
         assert!(config_from_flags(&f)
             .unwrap_err()
             .contains("sparsity.ann.bits"));
+    }
+
+    #[test]
+    fn each_command_rejects_flags_it_does_not_take() {
+        type Cmd = fn(&HashMap<String, String>) -> Result<(), String>;
+        let err = |cmd: Cmd, args: &[&str]| cmd(&parse_flags(&v(args)).unwrap()).unwrap_err();
+        assert_eq!(
+            err(cmd_align, &["--graph-a", "a.txt", "--bp-iter", "3"]),
+            "unknown flag --bp-iter for 'align'"
+        );
+        assert_eq!(
+            err(cmd_align, &["--dimm", "8", "--density", "0.05"]),
+            "unknown flag --dimm for 'align'"
+        );
+        // A flag of another command is unknown too.
+        assert_eq!(
+            err(cmd_stats, &["--graph", "g.txt", "--k", "4"]),
+            "unknown flag --k for 'stats'"
+        );
+        assert_eq!(
+            err(cmd_generate, &["--model", "er", "--vertex", "10"]),
+            "unknown flag --vertex for 'generate'"
+        );
+    }
+
+    #[test]
+    fn k_conflicts_with_density() {
+        let f = parse_flags(&v(&["--k", "6", "--density", "0.5"])).unwrap();
+        let err = config_from_flags(&f).unwrap_err();
+        assert_eq!(err, "--k conflicts with --density (pick one sparsifier)");
+        // With an --ann-* flag, --k is the ANN neighbor count and
+        // --density still conflicts.
+        let f = parse_flags(&v(&["--ann-bits", "8", "--k", "6", "--density", "0.5"])).unwrap();
+        assert!(config_from_flags(&f).is_err());
     }
 
     #[test]

@@ -208,8 +208,9 @@ impl AlignerConfig {
     }
 
     /// The ANN knobs as a sparsify-crate config, if the ANN rule is
-    /// active. The multilevel driver uses this to route its projection
-    /// bands' orphan fallback through the approximate kernel.
+    /// active. [`AlignerConfig::build_l`] builds `L` with it, and the
+    /// multilevel driver routes its projection bands' orphan fallback
+    /// through the approximate kernel with it.
     pub(crate) fn ann_config(&self) -> Option<AnnConfig> {
         match self.sparsity {
             SparsityChoice::Ann {
@@ -228,71 +229,36 @@ impl AlignerConfig {
         }
     }
 
-    /// Builds the sparsified alignment graph from aligned embeddings under
-    /// the configured rule. Shared by the cuAlign pipeline and the
-    /// cone-align baseline so both always compare on the same `L`.
-    ///
-    /// Embedding-only entry point: for the ANN rule this skips the
-    /// Weisfeiler–Lehman structural candidates (they need the graphs) —
-    /// callers that hold the graph pair should use
-    /// [`AlignerConfig::build_l_with_graphs`], which the session does.
+    /// Builds the sparsified alignment graph `L` from aligned embeddings
+    /// under the configured rule (the session's sparsify stage). Under
+    /// the ANN rule, same-label Weisfeiler–Lehman pairs of the input
+    /// graphs ([`cualign_graph::wl::wl_candidates`]) are unioned into `L` with
+    /// exactly-scored weights, so structurally pinned pairs survive even
+    /// when their embeddings hash apart. Graphs whose vertex counts
+    /// disagree with the embedding rows add no WL pairs (defensive: some
+    /// baselines re-embed subsets). Exact rules ignore the graphs.
     pub fn build_l(
         &self,
         ya: &DenseMatrix,
         yb: &DenseMatrix,
+        ga: &CsrGraph,
+        gb: &CsrGraph,
     ) -> Result<BipartiteGraph, AlignError> {
-        self.build_l_with_graphs(ya, yb, None)
-    }
-
-    /// [`AlignerConfig::build_l`] plus the input graphs: under the ANN
-    /// rule, same-label Weisfeiler–Lehman pairs
-    /// ([`cualign_graph::wl::wl_candidates`]) are unioned into `L` with
-    /// exactly-scored weights, so structurally pinned pairs survive even
-    /// when their embeddings hash apart. Graphs whose vertex counts
-    /// disagree with the embedding rows are ignored (defensive: some
-    /// baselines re-embed subsets). Exact rules ignore `graphs` entirely.
-    pub fn build_l_with_graphs(
-        &self,
-        ya: &DenseMatrix,
-        yb: &DenseMatrix,
-        graphs: Option<(&CsrGraph, &CsrGraph)>,
-    ) -> Result<BipartiteGraph, AlignError> {
-        match self.sparsity {
-            SparsityChoice::K(_) | SparsityChoice::Density(_) => {
-                let k = self.resolve_k(ya.rows(), yb.rows())?;
-                Ok(cualign_sparsify::build_alignment_graph(ya, yb, k))
-            }
-            SparsityChoice::MutualK(k) => Ok(cualign_sparsify::build_alignment_graph_mutual(
-                ya,
-                yb,
-                k.max(1),
-            )),
-            SparsityChoice::Ann {
-                k,
-                bands,
-                bits,
-                probes,
-            } => {
-                let ann = AnnConfig {
-                    k: k.max(1),
-                    bands,
-                    bits,
-                    probes,
-                    ..AnnConfig::default()
-                };
-                let wl_pairs = match graphs {
-                    Some((ga, gb))
-                        if ga.num_vertices() == ya.rows() && gb.num_vertices() == yb.rows() =>
-                    {
-                        wl::wl_candidates(ga, gb, WL_ROUNDS, WL_SEED, WL_MAX_BUCKET)
-                    }
-                    _ => Vec::new(),
-                };
-                Ok(cualign_sparsify::build_alignment_graph_ann(
-                    ya, yb, &ann, &wl_pairs,
-                ))
-            }
+        if let Some(ann) = self.ann_config() {
+            let wl_pairs = if ga.num_vertices() == ya.rows() && gb.num_vertices() == yb.rows() {
+                wl::wl_candidates(ga, gb, WL_ROUNDS, WL_SEED, WL_MAX_BUCKET)
+            } else {
+                Vec::new()
+            };
+            return Ok(cualign_sparsify::build_alignment_graph_ann(
+                ya, yb, &ann, &wl_pairs,
+            ));
         }
+        let k = self.resolve_k(ya.rows(), yb.rows())?;
+        Ok(match self.sparsity {
+            SparsityChoice::MutualK(_) => cualign_sparsify::build_alignment_graph_mutual(ya, yb, k),
+            _ => cualign_sparsify::build_alignment_graph(ya, yb, k),
+        })
     }
 }
 
@@ -663,17 +629,18 @@ mod tests {
         let mut rng = Rng::new(5);
         let ya = DenseMatrix::gaussian(30, 8, &mut rng);
         let yb = ya.clone();
+        let g = CsrGraph::from_edges(30, &[]);
         let union = AlignerConfig {
             sparsity: SparsityChoice::K(4),
             ..Default::default()
         }
-        .build_l(&ya, &yb)
+        .build_l(&ya, &yb, &g, &g)
         .unwrap();
         let mutual = AlignerConfig {
             sparsity: SparsityChoice::MutualK(4),
             ..Default::default()
         }
-        .build_l(&ya, &yb)
+        .build_l(&ya, &yb, &g, &g)
         .unwrap();
         assert!(mutual.num_edges() <= union.num_edges());
         // Identical embeddings: the diagonal (w = 1) must survive any rule.
@@ -692,9 +659,15 @@ mod tests {
         let yb = ya.clone();
         let cfg = AlignerConfig::builder().ann(4, 8, 6, 2).build().unwrap();
         assert_eq!(cfg.resolve_k(40, 40).unwrap(), 4);
+        // Graphs whose sizes disagree with the embeddings add no WL
+        // pairs (and do not panic): `L` is the embedding-only ANN graph.
+        let small = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        let l = cfg.build_l(&ya, &yb, &small, &small).unwrap();
+        let ann = cfg.ann_config().unwrap();
+        let embedding_only = cualign_sparsify::build_alignment_graph_ann(&ya, &yb, &ann, &[]);
+        assert_eq!(l.num_edges(), embedding_only.num_edges());
         // Identical embeddings hash identically, so every self pair
         // collides in every band and the diagonal survives.
-        let l = cfg.build_l(&ya, &yb).unwrap();
         for i in 0..40u32 {
             assert!(l.edge_id(i, i).is_some(), "diagonal ({i},{i}) pruned");
         }
@@ -702,13 +675,7 @@ mod tests {
         // the graphs over can only add (structural) candidates.
         let edges: Vec<(u32, u32)> = (0..39u32).map(|i| (i, i + 1)).collect();
         let g = CsrGraph::from_edges(40, &edges);
-        let l2 = cfg.build_l_with_graphs(&ya, &yb, Some((&g, &g))).unwrap();
+        let l2 = cfg.build_l(&ya, &yb, &g, &g).unwrap();
         assert!(l2.num_edges() >= l.num_edges());
-        // Mismatched graph sizes are ignored, not a panic.
-        let small = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let l3 = cfg
-            .build_l_with_graphs(&ya, &yb, Some((&small, &small)))
-            .unwrap();
-        assert_eq!(l3.num_edges(), l.num_edges());
     }
 }

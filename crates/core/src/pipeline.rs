@@ -47,50 +47,6 @@ impl StageTimings {
     pub fn total_s(&self) -> f64 {
         self.init_s() + self.optimize_s
     }
-
-    /// Derives cumulative timings from a telemetry snapshot: stage
-    /// seconds from the root-level `session.<stage>` spans, `cache_hits`
-    /// from the `session.<stage>.hits` counters. This is the thin-view
-    /// reading of the span tree — the struct holds no timing state of its
-    /// own; sessions record exclusively through telemetry spans.
-    ///
-    /// Spans only populate while telemetry is enabled
-    /// ([`cualign_telemetry::set_enabled`]), while the `session.*.hits`
-    /// counters are always-on atomics. A snapshot with no `session.*`
-    /// spans (telemetry off, or no session ran) therefore derives
-    /// [`StageTimings::default`] outright — counters alone must not
-    /// produce a degenerate record of cache hits with all-zero timings.
-    pub fn from_snapshot(snapshot: &cualign_telemetry::Snapshot) -> StageTimings {
-        if !snapshot
-            .spans
-            .children
-            .keys()
-            .any(|name| name.starts_with("session."))
-        {
-            return StageTimings::default();
-        }
-        let span_s = |stage: &str| {
-            snapshot
-                .spans
-                .children
-                .get(&format!("session.{stage}"))
-                .map_or(0.0, |s| s.total_s)
-        };
-        let hits: usize = snapshot
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("session.") && name.ends_with(".hits"))
-            .map(|(_, &v)| v as usize)
-            .sum();
-        StageTimings {
-            embedding_s: span_s("embed"),
-            subspace_s: span_s("subspace"),
-            sparsify_s: span_s("sparsify"),
-            overlap_s: span_s("overlap"),
-            optimize_s: span_s("optimize"),
-            cache_hits: hits,
-        }
-    }
 }
 
 /// Output of a full cuAlign run.
@@ -121,13 +77,6 @@ impl Aligner {
     /// Creates an aligner with the given configuration.
     pub fn new(cfg: AlignerConfig) -> Self {
         Aligner { cfg }
-    }
-
-    /// Convenience constructor with [`AlignerConfig::default`].
-    pub fn with_defaults() -> Self {
-        Aligner {
-            cfg: AlignerConfig::default(),
-        }
     }
 
     /// The active configuration.
@@ -243,19 +192,6 @@ mod tests {
         assert_eq!(r1.bp.best_score, s1.bp.best_score);
         assert_eq!(s1.mapping, s2.mapping);
         assert_eq!(s2.timings.cache_hits, 5);
-    }
-
-    #[test]
-    fn from_snapshot_tolerates_an_empty_span_tree() {
-        // With telemetry off, the span tree stays empty while the
-        // always-on `session.*.hits` counters keep ticking. Deriving
-        // timings from such a snapshot must yield the default record,
-        // not a degenerate one claiming cache hits with zero seconds.
-        let r = cualign_telemetry::Registry::new();
-        r.counter("session.embed.hits").add(3);
-        let t = StageTimings::from_snapshot(&r.snapshot());
-        assert_eq!(t.cache_hits, 0);
-        assert_eq!(t.total_s(), 0.0);
     }
 
     #[test]

@@ -14,14 +14,16 @@
 //! Embeddings → AlignedSubspace → SparseL → Overlap → Optimized
 //! ```
 //!
-//! — each stamped with a fingerprint of the configuration slice it was
-//! built under (chained with its upstream fingerprint). A stage is
-//! recomputed only when its fingerprint changes: changing `sparsity`
-//! reuses embeddings and subspace; changing `bp.max_iters` reuses
-//! everything through the overlap matrix `S`; changing the embedding
-//! seed invalidates the whole chain. [`StageCounters`] exposes exactly
-//! what was rebuilt, and the per-run [`StageTimings`] report `0 s` plus
-//! a `cache_hits` tick for reused artifacts.
+//! — each stored under a key: the configuration slice it was built
+//! under, chained with its upstream stage's key. A stage is recomputed
+//! only when its key changes or its upstream was rebuilt: changing
+//! `sparsity` reuses embeddings and subspace; changing `bp.max_iters`
+//! reuses everything through the overlap matrix `S`; changing the
+//! embedding seed invalidates the whole chain. All five stages run
+//! through one cache step, which keeps one ledger of builds and build
+//! seconds per stage; [`StageCounters`], the per-run [`StageTimings`]
+//! (`0 s` plus a `cache_hits` tick for reused artifacts) and
+//! [`AlignmentSession::cumulative_timings`] are views of that ledger.
 //!
 //! All stage timing flows through the telemetry subsystem: each build
 //! runs inside a `session.<stage>` span
@@ -34,11 +36,11 @@
 //! [`cualign_telemetry::current`] registry, and so does every kernel it
 //! runs.
 
-use crate::config::AlignerConfig;
+use crate::config::{AlignerConfig, SparsityChoice};
 use crate::error::{AlignError, GraphSide};
 use crate::pipeline::{AlignmentResult, StageTimings};
 use crate::scoring::{score_alignment, AlignmentScores};
-use cualign_bp::{BpConfig, BpEngine, BpOutcome, MatcherKind};
+use cualign_bp::{BpConfig, BpEngine, BpOutcome};
 use cualign_embed::{
     align_subspaces, spectral_embedding, SpectralConfig, SubspaceAlignConfig, SubspaceAlignment,
 };
@@ -49,18 +51,15 @@ use cualign_rt::par;
 use cualign_telemetry::SpanContext;
 use std::borrow::Borrow;
 
-use crate::config::SparsityChoice;
-
 /// Seed offset separating graph B's embedding randomness from graph A's
 /// (the subspace stage must not rely on shared randomness).
 pub(crate) const B_SIDE_SEED_OFFSET: u64 = 0x9e3779b97f4a7c15;
 
 // ---------------------------------------------------------------------
-// Config fingerprints
+// Input-pair fingerprint
 // ---------------------------------------------------------------------
 
-/// FNV-1a accumulator over the config fields a stage depends on. Stable
-/// within a process run, which is all cache invalidation needs.
+/// FNV-1a accumulator over a graph pair's CSR arrays.
 struct Fnv(u64);
 
 impl Fnv {
@@ -77,14 +76,6 @@ impl Fnv {
     }
 
     fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
         self.u64(v as u64);
     }
 
@@ -122,78 +113,6 @@ pub fn graph_pair_fingerprint(a: &CsrGraph, b: &CsrGraph) -> u64 {
     h.finish()
 }
 
-fn embedding_fingerprint(c: &SpectralConfig) -> u64 {
-    let mut h = Fnv::new(1);
-    h.usize(c.dim);
-    h.usize(c.iters);
-    h.usize(c.oversample);
-    h.u64(c.seed);
-    h.f64(c.eigenvalue_power);
-    h.bool(c.normalize);
-    h.finish()
-}
-
-fn subspace_fingerprint(upstream: u64, c: &SubspaceAlignConfig) -> u64 {
-    let mut h = Fnv::new(4);
-    h.u64(upstream);
-    h.usize(c.anchors);
-    h.usize(c.iterations);
-    h.f64(c.sinkhorn.epsilon);
-    h.usize(c.sinkhorn.max_iters);
-    h.f64(c.sinkhorn.tolerance);
-    h.f64(c.epsilon_start);
-    h.finish()
-}
-
-fn sparsity_fingerprint(upstream: u64, s: &SparsityChoice) -> u64 {
-    let mut h = Fnv::new(5);
-    h.u64(upstream);
-    match *s {
-        SparsityChoice::K(k) => {
-            h.u64(1);
-            h.usize(k);
-        }
-        SparsityChoice::Density(d) => {
-            h.u64(2);
-            h.f64(d);
-        }
-        SparsityChoice::MutualK(k) => {
-            h.u64(3);
-            h.usize(k);
-        }
-        SparsityChoice::Ann {
-            k,
-            bands,
-            bits,
-            probes,
-        } => {
-            h.u64(5);
-            h.usize(k);
-            h.usize(bands);
-            h.usize(bits);
-            h.usize(probes);
-        }
-    }
-    h.finish()
-}
-
-fn bp_fingerprint(upstream: u64, c: &BpConfig) -> u64 {
-    let mut h = Fnv::new(6);
-    h.u64(upstream);
-    h.f64(c.alpha);
-    h.f64(c.beta);
-    h.f64(c.gamma);
-    h.usize(c.max_iters);
-    h.bool(c.warm_start);
-    h.u64(match c.matcher {
-        MatcherKind::Serial => 1,
-        MatcherKind::Parallel => 2,
-        MatcherKind::Greedy => 3,
-        MatcherKind::Suitor => 4,
-    });
-    h.finish()
-}
-
 // ---------------------------------------------------------------------
 // Stage artifacts
 // ---------------------------------------------------------------------
@@ -215,20 +134,177 @@ struct Optimized {
     scores: AlignmentScores,
 }
 
-struct Cached<T> {
-    fingerprint: u64,
+// ---------------------------------------------------------------------
+// The cache step
+// ---------------------------------------------------------------------
+
+type SubspaceKey = (SpectralConfig, SubspaceAlignConfig);
+type SparsifyKey = (SubspaceKey, SparsityChoice);
+type OptimizeKey = (SparsifyKey, BpConfig);
+
+fn sparsify_key(c: &AlignerConfig) -> SparsifyKey {
+    ((c.embedding, c.subspace), c.sparsity)
+}
+
+/// A built artifact and the key it was built under.
+///
+/// A stage's key is the configuration slice the stage reads, chained
+/// with its upstream stage's key, so equal keys mean equal configuration
+/// all the way up the pipeline: `SpectralConfig`, then
+/// `(…, SubspaceAlignConfig)`, `(…, SparsityChoice)` (which `S`, having
+/// no configuration of its own, reuses) and `(…, BpConfig)`.
+///
+/// Keys compare with derived `PartialEq`, which compares floats with
+/// `==`: −0.0 and +0.0 are equal keys, so a config that only flips the
+/// sign of a zero reuses the artifact. Of the fields `validate` checks,
+/// only `bp.alpha` and `bp.beta` (set through
+/// `AlignerConfigBuilder::objective`) accept a zero of either sign. A
+/// NaN never equals itself; `validate` rejects NaN everywhere but the
+/// unchecked `subspace.sinkhorn.tolerance`, whose NaN rebuilds the
+/// subspace stage and its suffix on every run.
+struct Cached<K, T> {
+    key: K,
     value: T,
 }
 
-/// The cached artifact for a stage that has just been ensured. Every
-/// `ensure_*` step leaves its slot populated, so a `None` here is a
-/// session bookkeeping bug — reported as [`AlignError::Internal`]
-/// rather than panicking (the library's no-panic contract).
-fn cached<'a, T>(
-    slot: &'a Option<Cached<T>>,
+/// The artifact of a stage that has just been ensured. Every `ensure_*`
+/// step leaves its slot populated, so a `None` here is a session
+/// bookkeeping bug — reported as [`AlignError::Internal`] rather than
+/// panicking (the library's no-panic contract).
+fn cached<'a, K, T>(
+    slot: &'a Option<Cached<K, T>>,
     stage: &'static str,
-) -> Result<&'a Cached<T>, AlignError> {
-    slot.as_ref().ok_or(AlignError::Internal { stage })
+) -> Result<&'a T, AlignError> {
+    slot.as_ref()
+        .map(|c| &c.value)
+        .ok_or(AlignError::Internal { stage })
+}
+
+/// The five pipeline stages, in order; a stage's index is its column in
+/// the [`Ledger`].
+#[derive(Clone, Copy)]
+enum Stage {
+    Embed,
+    Subspace,
+    Sparsify,
+    Overlap,
+    Optimize,
+}
+
+const STAGES: usize = 5;
+
+impl Stage {
+    /// The `<stage>` of its `session.<stage>.hits`/`.misses` counters.
+    fn name(self) -> &'static str {
+        ["embed", "subspace", "sparsify", "overlap", "optimize"][self as usize]
+    }
+}
+
+/// Builds and build seconds per stage over a session's lifetime: the one
+/// record behind [`AlignmentSession::counters`],
+/// [`AlignmentSession::cumulative_timings`] and each run's
+/// [`StageTimings`].
+#[derive(Clone, Copy, Default)]
+struct Ledger {
+    builds: [usize; STAGES],
+    seconds: [f64; STAGES],
+}
+
+impl Ledger {
+    /// What was built since `before`.
+    fn since(&self, before: &Ledger) -> Ledger {
+        Ledger {
+            builds: std::array::from_fn(|i| self.builds[i] - before.builds[i]),
+            seconds: std::array::from_fn(|i| self.seconds[i] - before.seconds[i]),
+        }
+    }
+
+    fn counters(&self) -> StageCounters {
+        let [embedding_builds, subspace_builds, sparsify_builds, overlap_builds, optimize_builds] =
+            self.builds;
+        StageCounters {
+            embedding_builds,
+            subspace_builds,
+            sparsify_builds,
+            overlap_builds,
+            optimize_builds,
+        }
+    }
+
+    fn timings(&self, cache_hits: usize) -> StageTimings {
+        let [embedding_s, subspace_s, sparsify_s, overlap_s, optimize_s] = self.seconds;
+        StageTimings {
+            embedding_s,
+            subspace_s,
+            sparsify_s,
+            overlap_s,
+            optimize_s,
+            cache_hits,
+        }
+    }
+}
+
+/// The cache step every stage runs. The stage hits only when its
+/// upstream hit and `slot` holds an artifact built under `key`. Ticks the
+/// current registry's `session.<stage>.hits` or `.misses`; on a miss,
+/// runs `build` inside the `session.<stage>` span, stores its artifact
+/// under `key` and records the build in `ledger`. A failed build leaves
+/// the slot and the ledger as they were. Returns whether the stage hit.
+fn step<K: PartialEq, T>(
+    slot: &mut Option<Cached<K, T>>,
+    ledger: &mut Ledger,
+    stage: Stage,
+    key: K,
+    upstream_hit: bool,
+    build: impl FnOnce() -> Result<T, AlignError>,
+) -> Result<bool, AlignError> {
+    let reg = cualign_telemetry::current();
+    let name = stage.name();
+    if upstream_hit && slot.as_ref().is_some_and(|c| c.key == key) {
+        reg.counter(&format!("session.{name}.hits")).inc();
+        return Ok(true);
+    }
+    reg.counter(&format!("session.{name}.misses")).inc();
+    let (value, seconds) = reg.timed(
+        match stage {
+            Stage::Embed => "session.embed",
+            Stage::Subspace => "session.subspace",
+            Stage::Sparsify => "session.sparsify",
+            Stage::Overlap => "session.overlap",
+            Stage::Optimize => "session.optimize",
+        },
+        build,
+    );
+    *slot = Some(Cached { key, value: value? });
+    ledger.builds[stage as usize] += 1;
+    ledger.seconds[stage as usize] += seconds;
+    Ok(false)
+}
+
+/// Embeds A and B concurrently, one per thread. Loops nested in a
+/// parallel run execute inline, so each embedding runs the same
+/// serial-order code and gives the same bits at any thread count. Each
+/// side enters the caller's span path and registry, so both
+/// `embed.spectral` spans nest under `session.embed` in the caller's
+/// registry.
+fn embed_pair(a: &CsrGraph, b: &CsrGraph, cfg_a: SpectralConfig) -> Result<Embeddings, AlignError> {
+    let cfg_b = SpectralConfig {
+        seed: cfg_a.seed.wrapping_add(B_SIDE_SEED_OFFSET),
+        ..cfg_a
+    };
+    let sides = [(cfg_a, a), (cfg_b, b)];
+    let ctx = SpanContext::current();
+    let mut ys = [Ok(DenseMatrix::zeros(0, 0)), Ok(DenseMatrix::zeros(0, 0))];
+    par::map(&mut ys, 1, |i| {
+        let _ctx = ctx.enter();
+        let (cfg, g) = &sides[i];
+        let reg = cualign_telemetry::current();
+        reg.counter("embed.builds").inc();
+        let _span = reg.span("embed.spectral");
+        spectral_embedding(g, cfg)
+    });
+    let [y1, y2] = ys;
+    Ok(Embeddings { y1: y1?, y2: y2? })
 }
 
 /// How many times each pipeline stage has been (re)built over a
@@ -257,19 +333,6 @@ impl StageCounters {
             + self.sparsify_builds
             + self.overlap_builds
             + self.optimize_builds
-    }
-}
-
-/// Ticks the current registry's `session.<stage>.hits` or `.misses`.
-/// These counters are the *canonical* cache statistics: unlike the
-/// per-run `cache_hits` rollup in [`StageTimings`], they distinguish
-/// which stage was served from cache, across the whole session lifetime.
-fn count_lookup(stage: &str, hit: bool) {
-    let reg = cualign_telemetry::current();
-    if hit {
-        reg.counter(&format!("session.{stage}.hits")).inc();
-    } else {
-        reg.counter(&format!("session.{stage}.misses")).inc();
     }
 }
 
@@ -336,29 +399,12 @@ pub struct AlignmentSession<G: Borrow<CsrGraph>> {
     /// Structural digest of the input pair, fixed at construction.
     pair_fp: u64,
     cfg: AlignerConfig,
-    embeddings: Option<Cached<Embeddings>>,
-    subspace: Option<Cached<SubspaceAlignment>>,
-    sparse_l: Option<Cached<BipartiteGraph>>,
-    overlap: Option<Cached<OverlapMatrix>>,
-    optimized: Option<Cached<Optimized>>,
-    counters: StageCounters,
-    cumulative: StageTimings,
-}
-
-/// Outcome of an `ensure_*` step: was the artifact reused? (Build
-/// durations live in the cumulative timings and the span tree.)
-struct StageOutcome {
-    hit: bool,
-}
-
-impl StageOutcome {
-    fn hit() -> Self {
-        StageOutcome { hit: true }
-    }
-
-    fn built() -> Self {
-        StageOutcome { hit: false }
-    }
+    embeddings: Option<Cached<SpectralConfig, Embeddings>>,
+    subspace: Option<Cached<SubspaceKey, SubspaceAlignment>>,
+    sparse_l: Option<Cached<SparsifyKey, BipartiteGraph>>,
+    overlap: Option<Cached<SparsifyKey, OverlapMatrix>>,
+    optimized: Option<Cached<OptimizeKey, Optimized>>,
+    ledger: Ledger,
 }
 
 impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
@@ -379,8 +425,7 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
             sparse_l: None,
             overlap: None,
             optimized: None,
-            counters: StageCounters::default(),
-            cumulative: StageTimings::default(),
+            ledger: Ledger::default(),
         })
     }
 
@@ -445,7 +490,7 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
     }
 
     /// Replaces the configuration. Cached artifacts stay resident and are
-    /// revalidated lazily by fingerprint on the next stage access, so
+    /// revalidated lazily against their keys on the next stage access, so
     /// switching back and forth between two BP budgets never rebuilds the
     /// front half.
     pub fn set_config(&mut self, cfg: AlignerConfig) -> Result<(), AlignError> {
@@ -471,172 +516,127 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
 
     /// Per-stage build counters over this session's lifetime.
     pub fn counters(&self) -> StageCounters {
-        self.counters
+        self.ledger.counters()
     }
 
     /// Total wall-clock spent building artifacts over this session's
-    /// lifetime (reused artifacts contribute nothing).
+    /// lifetime (reused artifacts contribute nothing; `cache_hits` is 0).
     pub fn cumulative_timings(&self) -> StageTimings {
-        self.cumulative
+        self.ledger.timings(0)
     }
 
-    // -- stage 1: embeddings ------------------------------------------
+    // Each `ensure_*` brings its stage up to date through `step`, after
+    // its upstream stage, and returns whether the stage hit.
 
-    fn ensure_embeddings(&mut self) -> Result<StageOutcome, AlignError> {
-        let fp = embedding_fingerprint(&self.cfg.embedding);
-        if matches!(&self.embeddings, Some(c) if c.fingerprint == fp) {
-            count_lookup("embed", true);
-            return Ok(StageOutcome::hit());
-        }
-        count_lookup("embed", false);
-        let (value, seconds) = cualign_telemetry::current().timed("session.embed", || {
-            // A and B embed concurrently, one per thread. Loops nested in
-            // a parallel run execute inline, so each embedding runs the
-            // same serial-order code and gives the same bits at any
-            // thread count. Each side enters the caller's span path and
-            // registry, so both `embed.spectral` spans nest under
-            // `session.embed` in the caller's registry.
-            let cfg_a = self.cfg.embedding;
-            let cfg_b = SpectralConfig {
-                seed: cfg_a.seed.wrapping_add(B_SIDE_SEED_OFFSET),
-                ..cfg_a
-            };
-            let sides = [(cfg_a, self.a.borrow()), (cfg_b, self.b.borrow())];
-            let ctx = SpanContext::current();
-            let mut ys = [Ok(DenseMatrix::zeros(0, 0)), Ok(DenseMatrix::zeros(0, 0))];
-            par::map(&mut ys, 1, |i| {
-                let _ctx = ctx.enter();
-                let (cfg, g) = &sides[i];
-                let reg = cualign_telemetry::current();
-                reg.counter("embed.builds").inc();
-                let _span = reg.span("embed.spectral");
-                spectral_embedding(g, cfg)
-            });
-            let [y1, y2] = ys;
-            Ok::<_, AlignError>(Embeddings { y1: y1?, y2: y2? })
-        });
-        self.embeddings = Some(Cached {
-            fingerprint: fp,
-            value: value?,
-        });
-        self.counters.embedding_builds += 1;
-        self.cumulative.embedding_s += seconds;
-        Ok(StageOutcome::built())
+    fn ensure_embeddings(&mut self) -> Result<bool, AlignError> {
+        let (a, b, cfg) = (self.a.borrow(), self.b.borrow(), self.cfg.embedding);
+        step(
+            &mut self.embeddings,
+            &mut self.ledger,
+            Stage::Embed,
+            cfg,
+            true,
+            || embed_pair(a, b, cfg),
+        )
+    }
+
+    fn ensure_subspace(&mut self) -> Result<bool, AlignError> {
+        let upstream = self.ensure_embeddings()?;
+        let emb = cached(&self.embeddings, "embeddings")?;
+        let (a, b, cfg) = (self.a.borrow(), self.b.borrow(), &self.cfg);
+        step(
+            &mut self.subspace,
+            &mut self.ledger,
+            Stage::Subspace,
+            (cfg.embedding, cfg.subspace),
+            upstream,
+            || Ok(align_subspaces(&emb.y1, &emb.y2, a, b, &cfg.subspace)?),
+        )
+    }
+
+    fn ensure_sparse_l(&mut self) -> Result<bool, AlignError> {
+        let upstream = self.ensure_subspace()?;
+        let sub = cached(&self.subspace, "subspace")?;
+        let (a, b, cfg) = (self.a.borrow(), self.b.borrow(), &self.cfg);
+        step(
+            &mut self.sparse_l,
+            &mut self.ledger,
+            Stage::Sparsify,
+            sparsify_key(cfg),
+            upstream,
+            || {
+                let l = cfg.build_l(&sub.ya, &sub.yb, a, b)?;
+                if l.num_edges() == 0 {
+                    return Err(AlignError::EmptySparsification);
+                }
+                Ok(l)
+            },
+        )
+    }
+
+    fn ensure_overlap(&mut self) -> Result<bool, AlignError> {
+        let upstream = self.ensure_sparse_l()?;
+        let l = cached(&self.sparse_l, "sparse_l")?;
+        let (a, b) = (self.a.borrow(), self.b.borrow());
+        step(
+            &mut self.overlap,
+            &mut self.ledger,
+            Stage::Overlap,
+            sparsify_key(&self.cfg),
+            upstream,
+            || Ok(OverlapMatrix::build(a, b, l)),
+        )
+    }
+
+    fn ensure_optimized(&mut self) -> Result<bool, AlignError> {
+        let upstream = self.ensure_overlap()?;
+        let l = cached(&self.sparse_l, "sparse_l")?;
+        let s = cached(&self.overlap, "overlap")?;
+        let (a, b, cfg) = (self.a.borrow(), self.b.borrow(), &self.cfg);
+        step(
+            &mut self.optimized,
+            &mut self.ledger,
+            Stage::Optimize,
+            (sparsify_key(cfg), cfg.bp),
+            upstream,
+            || {
+                let bp = BpEngine::new(l, s, &cfg.bp).run();
+                let mapping: Vec<Option<VertexId>> = (0..a.num_vertices())
+                    .map(|u| bp.best_matching.mate_of_a(u as VertexId))
+                    .collect();
+                let scores = score_alignment(a, b, &mapping);
+                Ok(Optimized {
+                    bp,
+                    mapping,
+                    scores,
+                })
+            },
+        )
     }
 
     /// The stage-1 artifact: proximity embeddings of both graphs.
     pub fn embeddings(&mut self) -> Result<&Embeddings, AlignError> {
         self.ensure_embeddings()?;
-        Ok(&cached(&self.embeddings, "embeddings")?.value)
-    }
-
-    // -- stage 2: subspace alignment ----------------------------------
-
-    fn ensure_subspace(&mut self) -> Result<StageOutcome, AlignError> {
-        let upstream = self.ensure_embeddings()?;
-        let fp = subspace_fingerprint(
-            cached(&self.embeddings, "embeddings")?.fingerprint,
-            &self.cfg.subspace,
-        );
-        if upstream.hit && matches!(&self.subspace, Some(c) if c.fingerprint == fp) {
-            count_lookup("subspace", true);
-            return Ok(StageOutcome::hit());
-        }
-        count_lookup("subspace", false);
-        let emb = &cached(&self.embeddings, "embeddings")?.value;
-        let (sub, seconds) = cualign_telemetry::current().timed("session.subspace", || {
-            align_subspaces(
-                &emb.y1,
-                &emb.y2,
-                self.a.borrow(),
-                self.b.borrow(),
-                &self.cfg.subspace,
-            )
-        });
-        self.subspace = Some(Cached {
-            fingerprint: fp,
-            value: sub?,
-        });
-        self.counters.subspace_builds += 1;
-        self.cumulative.subspace_s += seconds;
-        Ok(StageOutcome::built())
+        cached(&self.embeddings, "embeddings")
     }
 
     /// The stage-2 artifact: embeddings rotated into a common subspace
     /// (Eq. 2).
     pub fn subspace(&mut self) -> Result<&SubspaceAlignment, AlignError> {
         self.ensure_subspace()?;
-        Ok(&cached(&self.subspace, "subspace")?.value)
-    }
-
-    // -- stage 3: sparsification --------------------------------------
-
-    fn ensure_sparse_l(&mut self) -> Result<StageOutcome, AlignError> {
-        let upstream = self.ensure_subspace()?;
-        let fp = sparsity_fingerprint(
-            cached(&self.subspace, "subspace")?.fingerprint,
-            &self.cfg.sparsity,
-        );
-        if upstream.hit && matches!(&self.sparse_l, Some(c) if c.fingerprint == fp) {
-            count_lookup("sparsify", true);
-            return Ok(StageOutcome::hit());
-        }
-        count_lookup("sparsify", false);
-        let sub = &cached(&self.subspace, "subspace")?.value;
-        // Hand the graphs over so the ANN rule can union in its
-        // Weisfeiler–Lehman structural candidates; exact rules ignore
-        // them.
-        let (l, seconds) = cualign_telemetry::current().timed("session.sparsify", || {
-            self.cfg
-                .build_l_with_graphs(&sub.ya, &sub.yb, Some((self.a.borrow(), self.b.borrow())))
-        });
-        let l = l?;
-        if l.num_edges() == 0 {
-            return Err(AlignError::EmptySparsification);
-        }
-        self.sparse_l = Some(Cached {
-            fingerprint: fp,
-            value: l,
-        });
-        self.counters.sparsify_builds += 1;
-        self.cumulative.sparsify_s += seconds;
-        Ok(StageOutcome::built())
+        cached(&self.subspace, "subspace")
     }
 
     /// The stage-3 artifact: the sparsified candidate graph `L`.
     pub fn sparse_l(&mut self) -> Result<&BipartiteGraph, AlignError> {
         self.ensure_sparse_l()?;
-        Ok(&cached(&self.sparse_l, "sparse_l")?.value)
-    }
-
-    // -- stage 4: overlap matrix --------------------------------------
-
-    fn ensure_overlap(&mut self) -> Result<StageOutcome, AlignError> {
-        let upstream = self.ensure_sparse_l()?;
-        // S depends only on (a, b, L): its fingerprint is L's.
-        let fp = cached(&self.sparse_l, "sparse_l")?.fingerprint;
-        if upstream.hit && matches!(&self.overlap, Some(c) if c.fingerprint == fp) {
-            count_lookup("overlap", true);
-            return Ok(StageOutcome::hit());
-        }
-        count_lookup("overlap", false);
-        let l = &cached(&self.sparse_l, "sparse_l")?.value;
-        let (s, seconds) = cualign_telemetry::current().timed("session.overlap", || {
-            OverlapMatrix::build(self.a.borrow(), self.b.borrow(), l)
-        });
-        self.overlap = Some(Cached {
-            fingerprint: fp,
-            value: s,
-        });
-        self.counters.overlap_builds += 1;
-        self.cumulative.overlap_s += seconds;
-        Ok(StageOutcome::built())
+        cached(&self.sparse_l, "sparse_l")
     }
 
     /// The stage-4 artifact: the overlap matrix `S` (Algorithm 3).
     pub fn overlap(&mut self) -> Result<&OverlapMatrix, AlignError> {
         self.ensure_overlap()?;
-        Ok(&cached(&self.overlap, "overlap")?.value)
+        cached(&self.overlap, "overlap")
     }
 
     /// Both structural artifacts at once (`L`, `S`) — for callers that
@@ -644,42 +644,9 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
     pub fn artifacts(&mut self) -> Result<(&BipartiteGraph, &OverlapMatrix), AlignError> {
         self.ensure_overlap()?;
         Ok((
-            &cached(&self.sparse_l, "sparse_l")?.value,
-            &cached(&self.overlap, "overlap")?.value,
+            cached(&self.sparse_l, "sparse_l")?,
+            cached(&self.overlap, "overlap")?,
         ))
-    }
-
-    // -- stage 5: optimization ----------------------------------------
-
-    fn ensure_optimized(&mut self) -> Result<StageOutcome, AlignError> {
-        let upstream = self.ensure_overlap()?;
-        let fp = bp_fingerprint(cached(&self.overlap, "overlap")?.fingerprint, &self.cfg.bp);
-        if upstream.hit && matches!(&self.optimized, Some(c) if c.fingerprint == fp) {
-            count_lookup("optimize", true);
-            return Ok(StageOutcome::hit());
-        }
-        count_lookup("optimize", false);
-        let l = &cached(&self.sparse_l, "sparse_l")?.value;
-        let s = &cached(&self.overlap, "overlap")?.value;
-        let (value, seconds) = cualign_telemetry::current().timed("session.optimize", || {
-            let bp = BpEngine::new(l, s, &self.cfg.bp).run();
-            let mapping: Vec<Option<VertexId>> = (0..self.a.borrow().num_vertices())
-                .map(|u| bp.best_matching.mate_of_a(u as VertexId))
-                .collect();
-            let scores = score_alignment(self.a.borrow(), self.b.borrow(), &mapping);
-            Optimized {
-                bp,
-                mapping,
-                scores,
-            }
-        });
-        self.optimized = Some(Cached {
-            fingerprint: fp,
-            value,
-        });
-        self.counters.optimize_builds += 1;
-        self.cumulative.optimize_s += seconds;
-        Ok(StageOutcome::built())
     }
 
     /// Runs the full pipeline, reusing every artifact whose configuration
@@ -688,23 +655,16 @@ impl<G: Borrow<CsrGraph>> AlignmentSession<G> {
     pub fn align(&mut self) -> Result<AlignmentResult, AlignError> {
         // Drive only the last stage: its dependency walk ensures every
         // upstream artifact exactly once, so each run logs exactly one
-        // hit-or-miss per stage in the telemetry counters. Per-run
-        // timings are the cumulative deltas (reused stages charge 0 s).
-        let before_t = self.cumulative;
-        let before_c = self.counters;
+        // hit-or-miss per stage in the telemetry counters, and this
+        // run's timings are what the ledger gained.
+        let before = self.ledger;
         self.ensure_optimized()?;
-        let timings = StageTimings {
-            embedding_s: self.cumulative.embedding_s - before_t.embedding_s,
-            subspace_s: self.cumulative.subspace_s - before_t.subspace_s,
-            sparsify_s: self.cumulative.sparsify_s - before_t.sparsify_s,
-            overlap_s: self.cumulative.overlap_s - before_t.overlap_s,
-            optimize_s: self.cumulative.optimize_s - before_t.optimize_s,
-            cache_hits: 5 - (self.counters.total_builds() - before_c.total_builds()),
-        };
+        let run = self.ledger.since(&before);
+        let timings = run.timings(STAGES - run.builds.iter().sum::<usize>());
 
-        let l_edges = cached(&self.sparse_l, "sparse_l")?.value.num_edges();
-        let s_nnz = cached(&self.overlap, "overlap")?.value.nnz();
-        let o = &cached(&self.optimized, "optimized")?.value;
+        let l_edges = cached(&self.sparse_l, "sparse_l")?.num_edges();
+        let s_nnz = cached(&self.overlap, "overlap")?.nnz();
+        let o = cached(&self.optimized, "optimized")?;
         Ok(AlignmentResult {
             matching: o.bp.best_matching.clone(),
             mapping: o.mapping.clone(),
@@ -738,45 +698,6 @@ mod tests {
         cfg.bp.max_iters = 5;
         cfg.subspace.anchors = 0;
         cfg
-    }
-
-    #[test]
-    fn fingerprints_differ_per_field() {
-        let base = small_cfg();
-        let base_fp = embedding_fingerprint(&base.embedding);
-        let mut seeded = base.clone();
-        seeded.embedding.seed += 1;
-        assert_ne!(base_fp, embedding_fingerprint(&seeded.embedding));
-
-        let sp = sparsity_fingerprint(7, &SparsityChoice::K(5));
-        assert_ne!(sp, sparsity_fingerprint(7, &SparsityChoice::K(6)));
-        assert_ne!(sp, sparsity_fingerprint(8, &SparsityChoice::K(5)));
-        // Same k under a different rule is a different artifact.
-        assert_ne!(sp, sparsity_fingerprint(7, &SparsityChoice::MutualK(5)));
-
-        // Every ANN knob is a fingerprint ingredient.
-        let ann = |k, bands, bits, probes| {
-            sparsity_fingerprint(
-                7,
-                &SparsityChoice::Ann {
-                    k,
-                    bands,
-                    bits,
-                    probes,
-                },
-            )
-        };
-        let base_ann = ann(5, 8, 12, 2);
-        assert_ne!(base_ann, sp, "ANN k=5 must differ from exact K(5)");
-        assert_ne!(base_ann, ann(6, 8, 12, 2));
-        assert_ne!(base_ann, ann(5, 9, 12, 2));
-        assert_ne!(base_ann, ann(5, 8, 13, 2));
-        assert_ne!(base_ann, ann(5, 8, 12, 3));
-
-        let bp = BpConfig::default();
-        let mut bp2 = bp;
-        bp2.max_iters += 1;
-        assert_ne!(bp_fingerprint(1, &bp), bp_fingerprint(1, &bp2));
     }
 
     #[test]

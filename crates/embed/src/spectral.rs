@@ -2,7 +2,7 @@
 //!
 //! Computes the dominant `d`-dimensional eigenspace of the symmetric
 //! normalized adjacency `S = D^{-1/2} A D^{-1/2}` by block power
-//! iteration, re-orthonormalized by QR every [`QR_INTERVAL`] steps and
+//! iteration, re-orthonormalized by QR every `QR_INTERVAL` steps and
 //! after the last, followed by a Rayleigh–Ritz projection (Jacobi
 //! eigendecomposition of the small `QᵀSQ`).
 //! [`spectral_embedding_reference`] is the QR-after-every-step loop it is
@@ -25,22 +25,18 @@ use cualign_rt::par;
 use cualign_rt::Rng;
 
 /// Configuration for [`spectral_embedding`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpectralConfig {
     /// Embedding dimension `d` (number of dominant eigenvectors kept).
     pub dim: usize,
     /// Block power iterations: products with `S`, re-orthonormalized by
-    /// QR every [`QR_INTERVAL`] steps and after the last.
+    /// QR every `QR_INTERVAL` steps and after the last.
     pub iters: usize,
     /// Extra subspace columns carried during iteration for faster
     /// convergence, dropped at the end.
     pub oversample: usize,
     /// Seed for the random starting block.
     pub seed: u64,
-    /// Scale eigenvector `j` by `|λ_j|^power` (0 = pure eigenvectors; 1 =
-    /// diffusion-weighted). Weighting by eigenvalue magnitude emphasizes
-    /// smooth structure.
-    pub eigenvalue_power: f64,
     /// Row-normalize the final embedding.
     pub normalize: bool,
 }
@@ -52,7 +48,6 @@ impl Default for SpectralConfig {
             iters: 20,
             oversample: 16,
             seed: 0x57ec,
-            eigenvalue_power: 1.0,
             normalize: true,
         }
     }
@@ -184,7 +179,7 @@ fn inv_sqrt_degrees(g: &CsrGraph) -> Vec<f64> {
 }
 
 /// Computes the spectral embedding of `g`: `cfg.iters` products with `S`,
-/// a QR after every [`QR_INTERVAL`]th and after the last, then
+/// a QR after every `QR_INTERVAL`th and after the last, then
 /// Rayleigh–Ritz. Records the QR count in the `embed.orthonormalizations`
 /// counter of [`cualign_telemetry::current`].
 ///
@@ -240,7 +235,8 @@ pub fn spectral_embedding_reference(
 
 /// Rayleigh–Ritz on the orthonormal block `x`: eigendecompose
 /// `T = Xᵀ S X`, lift, keep the `dim` columns of largest `|λ|` scaled by
-/// `|λ|^eigenvalue_power`, and row-normalize if asked.
+/// `|λ|` (diffusion weighting, which emphasizes smooth structure), and
+/// row-normalize if asked.
 fn rayleigh_ritz(
     g: &CsrGraph,
     inv_sqrt_deg: &[f64],
@@ -255,7 +251,7 @@ fn rayleigh_ritz(
 
     let mut out = DenseMatrix::zeros(n, cfg.dim);
     for j in 0..cfg.dim {
-        let scale = eig.values[j].abs().powf(cfg.eigenvalue_power);
+        let scale = eig.values[j].abs();
         for i in 0..n {
             out[(i, j)] = lifted[(i, j)] * scale;
         }
@@ -341,7 +337,6 @@ mod tests {
             iters: 60,
             oversample: 24,
             seed: 10,
-            eigenvalue_power: 1.0,
             normalize: false,
         };
         let cfg_b = SpectralConfig { seed: 999, ..cfg_a };

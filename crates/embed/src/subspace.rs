@@ -116,7 +116,7 @@ impl std::error::Error for SubspaceError {}
 /// Construct through `AlignerConfig::builder()` in `cualign-core` (which
 /// validates via [`SubspaceAlignConfig::validate`]) or fill the fields
 /// directly for standalone use; `align_subspaces` re-validates either way.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SubspaceAlignConfig {
     /// Anchor count per side; `0` uses every vertex (exact but `O(n²)` per
     /// Sinkhorn iteration).

@@ -64,7 +64,7 @@ const SCALING_MIN: f64 = 1e-50;
 const SCALING_MAX: f64 = 1e50;
 
 /// Sinkhorn solver parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SinkhornOptions {
     /// Entropic regularization strength `ε` (> 0). Smaller values give
     /// sharper (more permutation-like) plans but need more iterations.

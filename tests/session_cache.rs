@@ -4,12 +4,14 @@
 
 use cualign::{
     cone_align_session, AlignError, Aligner, AlignerConfig, AlignmentSession, GraphSide,
-    SparsityChoice,
+    SparsityChoice, StageCounters,
 };
-use cualign_embed::SpectralConfig;
+use cualign_bp::{BpConfig, MatcherKind};
+use cualign_embed::{SpectralConfig, SubspaceAlignConfig};
 use cualign_graph::generators::{duplication_divergence, erdos_renyi_gnm};
 use cualign_graph::permutation::AlignmentInstance;
 use cualign_graph::CsrGraph;
+use cualign_linalg::SinkhornOptions;
 use cualign_rt::Rng;
 
 fn test_cfg() -> AlignerConfig {
@@ -293,4 +295,238 @@ fn set_config_invalidates_by_artifact_fingerprint() {
     assert_eq!(r.timings.cache_hits, 2);
     assert_eq!(s.counters().embedding_builds, 1);
     assert_eq!(s.counters().sparsify_builds, 3);
+}
+
+/// Builds per stage, in pipeline order.
+fn builds(c: StageCounters) -> [usize; 5] {
+    [
+        c.embedding_builds,
+        c.subspace_builds,
+        c.sparsify_builds,
+        c.overlap_builds,
+        c.optimize_builds,
+    ]
+}
+
+/// One field at a time, on a warm session: a change to a stage's
+/// configuration slice rebuilds that stage and every stage after it, and
+/// nothing before it. Rows cover every field of every stage's slice and
+/// every sparsity rule; re-setting the unchanged config rebuilds nothing.
+#[test]
+fn every_config_field_invalidates_exactly_its_suffix() {
+    type Edit = fn(&mut AlignerConfig);
+    const EMBED: [usize; 5] = [1, 1, 1, 1, 1];
+    const SUBSPACE: [usize; 5] = [0, 1, 1, 1, 1];
+    const SPARSIFY: [usize; 5] = [0, 0, 1, 1, 1];
+    const OPTIMIZE: [usize; 5] = [0, 0, 0, 0, 1];
+
+    fn exact(_: &mut AlignerConfig) {}
+    fn density(c: &mut AlignerConfig) {
+        c.sparsity = SparsityChoice::Density(0.1);
+    }
+    fn mutual(c: &mut AlignerConfig) {
+        c.sparsity = SparsityChoice::MutualK(6);
+    }
+    fn ann(c: &mut AlignerConfig) {
+        c.sparsity = SparsityChoice::Ann {
+            k: 6,
+            bands: 8,
+            bits: 10,
+            probes: 2,
+        };
+    }
+    fn ann_field(c: &mut AlignerConfig, edit: impl FnOnce(&mut [&mut usize; 4])) {
+        if let SparsityChoice::Ann {
+            k,
+            bands,
+            bits,
+            probes,
+        } = &mut c.sparsity
+        {
+            edit(&mut [k, bands, bits, probes]);
+        }
+    }
+
+    // (row, base sparsity rule, edit, stages rebuilt)
+    let rows: &[(&str, Edit, Edit, [usize; 5])] = &[
+        ("embedding.dim", exact, |c| c.embedding.dim += 1, EMBED),
+        ("embedding.iters", exact, |c| c.embedding.iters += 1, EMBED),
+        (
+            "embedding.oversample",
+            exact,
+            |c| c.embedding.oversample += 1,
+            EMBED,
+        ),
+        ("embedding.seed", exact, |c| c.embedding.seed += 1, EMBED),
+        (
+            "embedding.normalize",
+            exact,
+            |c| c.embedding.normalize ^= true,
+            EMBED,
+        ),
+        (
+            "subspace.anchors",
+            exact,
+            |c| c.subspace.anchors = 40,
+            SUBSPACE,
+        ),
+        (
+            "subspace.iterations",
+            exact,
+            |c| c.subspace.iterations += 1,
+            SUBSPACE,
+        ),
+        (
+            "subspace.sinkhorn.epsilon",
+            exact,
+            |c| c.subspace.sinkhorn.epsilon *= 1.5,
+            SUBSPACE,
+        ),
+        (
+            "subspace.sinkhorn.max_iters",
+            exact,
+            |c| c.subspace.sinkhorn.max_iters += 1,
+            SUBSPACE,
+        ),
+        (
+            "subspace.sinkhorn.tolerance",
+            exact,
+            |c| c.subspace.sinkhorn.tolerance *= 2.0,
+            SUBSPACE,
+        ),
+        (
+            "subspace.epsilon_start",
+            exact,
+            |c| c.subspace.epsilon_start *= 1.5,
+            SUBSPACE,
+        ),
+        (
+            "sparsity K.k",
+            exact,
+            |c| c.sparsity = SparsityChoice::K(7),
+            SPARSIFY,
+        ),
+        ("sparsity K -> Density", exact, density, SPARSIFY),
+        (
+            "sparsity Density.density",
+            density,
+            |c| c.sparsity = SparsityChoice::Density(0.12),
+            SPARSIFY,
+        ),
+        ("sparsity K -> MutualK, same k", exact, mutual, SPARSIFY),
+        (
+            "sparsity MutualK.k",
+            mutual,
+            |c| c.sparsity = SparsityChoice::MutualK(7),
+            SPARSIFY,
+        ),
+        ("sparsity K -> Ann, same k", exact, ann, SPARSIFY),
+        (
+            "sparsity Ann.k",
+            ann,
+            |c| ann_field(c, |f| *f[0] += 1),
+            SPARSIFY,
+        ),
+        (
+            "sparsity Ann.bands",
+            ann,
+            |c| ann_field(c, |f| *f[1] += 1),
+            SPARSIFY,
+        ),
+        (
+            "sparsity Ann.bits",
+            ann,
+            |c| ann_field(c, |f| *f[2] += 1),
+            SPARSIFY,
+        ),
+        (
+            "sparsity Ann.probes",
+            ann,
+            |c| ann_field(c, |f| *f[3] += 1),
+            SPARSIFY,
+        ),
+        ("bp.alpha", exact, |c| c.bp.alpha *= 1.5, OPTIMIZE),
+        ("bp.beta", exact, |c| c.bp.beta *= 1.5, OPTIMIZE),
+        ("bp.gamma", exact, |c| c.bp.gamma *= 0.9, OPTIMIZE),
+        ("bp.max_iters", exact, |c| c.bp.max_iters += 1, OPTIMIZE),
+        (
+            "bp.matcher",
+            exact,
+            |c| c.bp.matcher = MatcherKind::Serial,
+            OPTIMIZE,
+        ),
+        (
+            "bp.warm_start",
+            exact,
+            |c| c.bp.warm_start ^= true,
+            OPTIMIZE,
+        ),
+    ];
+
+    // Destructured without `..`: a field added to a stage's config fails
+    // to compile here until it gets a row above.
+    let cfg = test_cfg();
+    let SpectralConfig {
+        dim: _,
+        iters: _,
+        oversample: _,
+        seed: _,
+        normalize: _,
+    } = cfg.embedding;
+    let SubspaceAlignConfig {
+        anchors: _,
+        iterations: _,
+        sinkhorn:
+            SinkhornOptions {
+                epsilon: _,
+                max_iters: _,
+                tolerance: _,
+            },
+        epsilon_start: _,
+    } = cfg.subspace;
+    let BpConfig {
+        alpha: _,
+        beta: _,
+        gamma: _,
+        max_iters: _,
+        matcher: _,
+        warm_start: _,
+    } = cfg.bp;
+    match cfg.sparsity {
+        SparsityChoice::K(_)
+        | SparsityChoice::Density(_)
+        | SparsityChoice::MutualK(_)
+        | SparsityChoice::Ann { .. } => {}
+    }
+
+    let inst = instance(17, 80, 240);
+    let mut s = AlignmentSession::new(&inst.a, &inst.b, cfg.clone()).unwrap();
+    for &(row, base, edit, rebuilt) in rows {
+        let mut from = cfg.clone();
+        base(&mut from);
+        s.set_config(from.clone()).unwrap();
+        s.align().unwrap();
+        let warm = builds(s.counters());
+
+        s.set_config(from.clone()).unwrap();
+        s.align().unwrap();
+        assert_eq!(
+            builds(s.counters()),
+            warm,
+            "{row}: unchanged config rebuilt"
+        );
+
+        let mut to = from;
+        edit(&mut to);
+        s.set_config(to).unwrap();
+        let r = s.align().unwrap();
+        let after = builds(s.counters());
+        let delta: [usize; 5] = std::array::from_fn(|i| after[i] - warm[i]);
+        assert_eq!(delta, rebuilt, "{row}");
+        assert_eq!(
+            r.timings.cache_hits,
+            5 - rebuilt.iter().sum::<usize>(),
+            "{row}"
+        );
+    }
 }
