@@ -2,7 +2,6 @@
 //! Algorithm 2, and per-iteration rounding via approximate matching.
 
 use crate::evaluate_matching;
-use crate::othermax::{othermax_cols_reference, othermax_rows_reference, OthermaxWorkspace};
 use cualign_graph::{BipartiteGraph, Side};
 use cualign_linalg::sparse::{self, MergePlan, Monoid};
 use cualign_matching::{
@@ -221,12 +220,18 @@ pub struct BpEngine<'a> {
     // Nonzero-indexed messages: `Sᵖ` and its transpose.
     sp: Vec<f64>,
     st: Vec<f64>,
-    /// Merge-path plan over the overlap CSR — shared by every sparse
-    /// kernel call of the sweep.
+    /// Merge-path plan over the overlap CSR, for the pass over `S`.
     plan: MergePlan,
-    /// Reusable othermax buffers (positional scratch, inverse position
-    /// maps, side plans) so the exclusivity sweeps allocate nothing.
-    om_ws: OthermaxWorkspace,
+    /// Inverse of the B-side incidence array: `pos_b[e]` is the
+    /// position of edge `e` in `l.eids(Side::B)`.
+    pos_b: Vec<u32>,
+    /// B-side exclusion output, positional (entry `p` belongs to edge
+    /// `l.eids(Side::B)[p]`); the `yᶜ`/`yᵖ` pass reads it back per edge.
+    scratch_b: Vec<f64>,
+    /// Merge-path plans over the A-side and B-side CSRs of `L`, for the
+    /// two exclusion passes.
+    plan_a: MergePlan,
+    plan_b: MergePlan,
     /// Statistics of the most recent sweep.
     last_sweep: SweepStats,
     tele: BpTele,
@@ -300,15 +305,19 @@ impl<'a> BpEngine<'a> {
             sp: vec![0.0; nnz],
             st: vec![0.0; nnz],
             plan: MergePlan::new(offsets),
-            om_ws: OthermaxWorkspace::new(l),
+            pos_b: {
+                let mut pos = vec![0u32; m];
+                for (p, &e) in l.eids(Side::B).iter().enumerate() {
+                    pos[e as usize] = p as u32;
+                }
+                pos
+            },
+            scratch_b: vec![0.0; m],
+            plan_a: MergePlan::new(l.offsets(Side::A)),
+            plan_b: MergePlan::new(l.offsets(Side::B)),
             last_sweep: SweepStats::default(),
             tele: BpTele::current(),
         }
-    }
-
-    /// Current iteration count (completed message updates).
-    pub fn iteration(&self) -> usize {
-        self.iter
     }
 
     /// `yᶜ` messages (A-side exclusivity).
@@ -382,7 +391,13 @@ impl<'a> BpEngine<'a> {
         // *pre-damp* message, and the A-side tail below damps `zp`, so
         // the order is load-bearing. The per-edge gather is fused into
         // the consuming `yᶜ`/`yᵖ` pass.
-        self.om_ws.cols_positional(&self.l, &self.zp);
+        sparse::exclusion_max(
+            self.l.offsets(Side::B),
+            &self.plan_b,
+            self.l.eids(Side::B),
+            &self.zp,
+            &mut self.scratch_b,
+        );
 
         // Damping (lines 14–16): the paper's γᵏ power decay.
         let g = self.cfg.gamma.powi(self.iter as i32);
@@ -401,8 +416,10 @@ impl<'a> BpEngine<'a> {
         // pre-damp here.
         let z_stats = {
             let dc = &self.dc[..];
-            self.om_ws.rows_apply(
-                &self.l,
+            sparse::exclusion_max_apply(
+                self.l.offsets(Side::A),
+                &self.plan_a,
+                self.l.eids(Side::A),
                 &self.yp,
                 move |e, om, zcv, zpv, acc: &mut SweepStats| {
                     *zcv = dc[e] - om;
@@ -420,7 +437,7 @@ impl<'a> BpEngine<'a> {
         // Blocked so each block folds its statistics into a local
         // accumulator.
         let y_stats = {
-            let (scratch, pos) = self.om_ws.cols_result();
+            let (scratch, pos) = (&self.scratch_b, &self.pos_b);
             let (dc, zc) = (&self.dc, &self.zc);
             let blocks: Vec<_> = self
                 .yc
@@ -491,13 +508,15 @@ impl<'a> BpEngine<'a> {
         self.finish_sweep(stats.damped(g), t0);
     }
 
-    /// The pre-sparse-layer message update, kept verbatim as the pinned
-    /// bitwise oracle for [`BpEngine::iterate`] (see
+    /// The pre-sparse-layer message update, kept as the pinned bitwise
+    /// oracle for [`BpEngine::iterate`] (see
     /// `docs/oracle_manifest.txt`): Listing 1's gather of `Sᵖ` through
     /// the transpose permutation, hand-rolled per-row loops, a fresh
-    /// `om` buffer per sweep, the collect-and-apply othermax, separate
-    /// damping passes, and [`SweepStats`] from plain scans. Its `F` and
-    /// `Sᶜ` arrays are allocated per call, so engines that only run
+    /// edge-indexed `om` buffer per side and sweep (the serial
+    /// [`sparse::exclusion_max_reference`], scattered per edge through
+    /// the side's incidence array), separate damping passes, and
+    /// [`SweepStats`] from plain scans. Its `F` and `Sᶜ` arrays are
+    /// allocated per call, so engines that only run
     /// [`BpEngine::iterate`] never hold them. An engine is advanced by
     /// one of the two throughout: this one leaves the transposed state
     /// of [`BpEngine::sp_transposed`] untouched. Used by the
@@ -536,11 +555,10 @@ impl<'a> BpEngine<'a> {
         self.dc_next = std::mem::replace(&mut self.dc, dc_out);
 
         // y/z exclusivity messages.
-        let mut om = vec![0.0; self.yc.len()];
         let dc = &self.dc;
-        othermax_cols_reference(&self.l, &self.zp, &mut om);
+        let om = exclusion_by_edge(&self.l, Side::B, &self.zp);
         par::map(&mut self.yc, par::WORK_PER_RUN, |e| dc[e] - om[e]);
-        othermax_rows_reference(&self.l, &self.yp, &mut om);
+        let om = exclusion_by_edge(&self.l, Side::A, &self.yp);
         par::map(&mut self.zc, par::WORK_PER_RUN, |e| dc[e] - om[e]);
 
         // Sᶜ = diag(yᶜ + zᶜ − dᶜ)·S − F.
@@ -710,6 +728,21 @@ fn clamped_min_first(beta: f64, x: f64) -> f64 {
     } else {
         y
     }
+}
+
+/// The exclusion max of `values` over each `side` group of `l`, indexed
+/// by edge: [`sparse::exclusion_max_reference`] over the side-CSR, with
+/// position `p` scattered to edge `eids[p]` — on either side, so the
+/// oracle does not assume that side-A positions are edge ids.
+fn exclusion_by_edge(l: &BipartiteGraph, side: Side, values: &[f64]) -> Vec<f64> {
+    let eids = l.eids(side);
+    let mut at_pos = vec![0.0; eids.len()];
+    sparse::exclusion_max_reference(l.offsets(side), eids, values, &mut at_pos);
+    let mut om = vec![0.0; eids.len()];
+    for (&e, v) in eids.iter().zip(at_pos) {
+        om[e as usize] = v;
+    }
+    om
 }
 
 /// Splits a flat nonzero array into per-row mutable slices, returning

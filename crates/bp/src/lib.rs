@@ -26,8 +26,12 @@
 //! one step further: it carries `Sᵖ` in both orientations, so the whole
 //! `S` side of a sweep — `F`, the `Sᶜ` update, both damps and the next
 //! sweep's `dᶜ` — is one sequential pass with no gather.
-//! [`BpEngine::iterate`] has one code path, pinned bitwise to
-//! [`BpEngine::iterate_reference`], which keeps Listing 1's gather. The
+//! The `othermaxcol`/`othermaxrow` steps are grouped exclusion maxima
+//! over the B-side and A-side CSRs of `L`; [`BpEngine::iterate`] calls
+//! `cualign_linalg::sparse::exclusion_max` and `exclusion_max_apply` on
+//! them directly. [`BpEngine::iterate`] has one code path, pinned
+//! bitwise to [`BpEngine::iterate_reference`], which keeps Listing 1's
+//! gather and runs the serial `exclusion_max_reference` per side. The
 //! unfused two-pass variant survives only as a cost in the GPU
 //! simulator's §5 ablation.
 //!
@@ -43,7 +47,6 @@
 
 pub mod engine;
 pub mod mr;
-pub mod othermax;
 
 pub use engine::{BpConfig, BpEngine, BpOutcome, IterationRecord, MatcherKind, SweepStats};
 pub use mr::{mr_align, MrConfig, MrOutcome};

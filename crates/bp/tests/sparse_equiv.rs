@@ -1,10 +1,14 @@
 //! Pins the merge-balanced BP sweep (`BpEngine::iterate`, routed through
 //! `linalg::sparse`) to the original serial loops (`iterate_reference`,
-//! which runs the collect-and-apply othermax references), bit for bit —
-//! message state and the recorded sweep statistics, with span capture
-//! off and on. Also checks the full pipeline: the fast and reference
-//! overlap builds plus BP runs agree on `overlap.nnz` and produce
-//! identical matchings on a fixed seed pair.
+//! whose exclusion steps are `sparse::exclusion_max_reference` scattered
+//! per edge), bit for bit — message state and the recorded sweep
+//! statistics, with span capture off and on. Also checks the full
+//! pipeline: the fast and reference overlap builds plus BP runs agree on
+//! `overlap.nnz` and produce identical matchings on a fixed seed pair.
+//!
+//! Both sweeps select exclusion maxima with the same private helper of
+//! `linalg::sparse`, so this suite cannot see a fault in that selection;
+//! the `sparse` unit tests check it against a naive recompute.
 
 use cualign_bp::{evaluate_matching, BpConfig, BpEngine, SweepStats};
 use cualign_graph::generators::erdos_renyi_gnm;

@@ -15,7 +15,10 @@
 //!
 //! Graphs are whitespace-separated edge lists (`# comments` allowed); the
 //! mapping output is one `u <TAB> v` pair per line. Each command rejects
-//! a flag it does not take, and `align` rejects `--k` with `--density`.
+//! a flag it does not take, and `align` rejects `--k` with `--density`
+//! and a flag its `--method` would ignore: `cone` runs no BP (no
+//! `--bp-iters`, `--multilevel`), `isorank` none of the pipeline (no
+//! sparsifier, embedding, subspace or BP flag).
 //!
 //! `--telemetry summary` prints the span-tree/counter digest to stderr
 //! after the run; `--telemetry json:PATH` appends one JSON snapshot line
@@ -66,6 +69,11 @@ const ALIGN_FLAGS: &[&str] = &[
     "output",
     "telemetry",
 ];
+/// The `align` flags of the BP back half, which `--method cone` ignores.
+const BP_FLAGS: &[&str] = &["bp-iters", "multilevel"];
+/// The `align` flags every method reads; `--method isorank` reads no
+/// other.
+const COMMON_ALIGN_FLAGS: &[&str] = &["graph-a", "graph-b", "method", "output", "telemetry"];
 const STATS_FLAGS: &[&str] = &["graph", "telemetry"];
 const GENERATE_FLAGS: &[&str] = &["model", "vertices", "edges", "seed", "output", "telemetry"];
 
@@ -80,6 +88,21 @@ fn check_flags(cmd: &str, flags: &HashMap<String, String>, known: &[&str]) -> Re
     unknown.sort_unstable();
     match unknown.first() {
         Some(k) => Err(format!("unknown flag --{k} for '{cmd}'")),
+        None => Ok(()),
+    }
+}
+
+/// Rejects an `align` flag that `method` would ignore, so it cannot look
+/// as if it changed the run. Unknown methods pass; `cmd_align` rejects
+/// them.
+fn check_method_flags(method: &str, flags: &HashMap<String, String>) -> Result<(), String> {
+    let reads = |flag: &str| match method {
+        "cone" => !BP_FLAGS.contains(&flag),
+        "isorank" => COMMON_ALIGN_FLAGS.contains(&flag),
+        _ => true,
+    };
+    match flags.keys().map(String::as_str).filter(|k| !reads(k)).min() {
+        Some(k) => Err(format!("--method {method} does not use --{k}")),
         None => Ok(()),
     }
 }
@@ -220,9 +243,10 @@ fn config_from_flags(flags: &HashMap<String, String>) -> Result<AlignerConfig, S
 
 fn cmd_align(flags: &HashMap<String, String>) -> Result<(), String> {
     check_flags("align", flags, ALIGN_FLAGS)?;
+    let method = flags.get("method").map(|s| s.as_str()).unwrap_or("cualign");
+    check_method_flags(method, flags)?;
     let a = load(require(flags, "graph-a")?)?;
     let b = load(require(flags, "graph-b")?)?;
-    let method = flags.get("method").map(|s| s.as_str()).unwrap_or("cualign");
     let cfg = config_from_flags(flags)?;
 
     let (mapping, label) = match method {
@@ -594,6 +618,43 @@ mod tests {
             err(cmd_generate, &["--model", "er", "--vertex", "10"]),
             "unknown flag --vertex for 'generate'"
         );
+    }
+
+    #[test]
+    fn each_method_rejects_flags_it_ignores() {
+        let err = |extra: &[&str]| {
+            let mut args = v(&["--graph-a", "missing-a.txt", "--graph-b", "missing-b.txt"]);
+            args.extend(v(extra));
+            cmd_align(&parse_flags(&args).unwrap()).unwrap_err()
+        };
+        let isorank = ["--method", "isorank", "--density", "0.9", "--bp-iters", "1"];
+        assert_eq!(err(&isorank), "--method isorank does not use --bp-iters");
+        assert_eq!(
+            err(&["--method", "isorank", "--k", "6"]),
+            "--method isorank does not use --k"
+        );
+        assert_eq!(
+            err(&["--method", "isorank", "--sinkhorn-epsilon", "0.1"]),
+            "--method isorank does not use --sinkhorn-epsilon"
+        );
+        assert_eq!(
+            err(&["--method", "cone", "--multilevel", "3", "--bp-iters", "1"]),
+            "--method cone does not use --bp-iters"
+        );
+        assert_eq!(
+            err(&["--method", "cone", "--multilevel", "2"]),
+            "--method cone does not use --multilevel"
+        );
+        // A flag the method reads passes: the run gets as far as
+        // loading the graphs.
+        for extra in [
+            &["--method", "cone", "--density", "0.5", "--dim", "4"][..],
+            &["--method", "isorank", "--output", "map.tsv"],
+            &["--bp-iters", "3", "--multilevel", "2"],
+        ] {
+            let e = err(extra);
+            assert!(e.starts_with("missing-a.txt: "), "{extra:?}: {e}");
+        }
     }
 
     #[test]

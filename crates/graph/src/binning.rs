@@ -6,9 +6,9 @@
 //! streams). Because the sparsity structure is fixed for the whole run, the
 //! binning is computed once and reused.
 //!
-//! The same structure serves two masters here: the GPU simulator uses it to
-//! model warp assignment and lane idling, and the CPU engine uses it to
-//! batch similar-size rows for better branch behavior.
+//! Only the GPU simulator (`cualign-gpusim`) uses it here, to model warp
+//! assignment and lane idling; the CPU kernels balance work by merge-path
+//! chunking instead (`cualign_linalg::sparse::MergePlan`).
 
 /// Virtual-warp sizes permitted by the paper ("divisor or multiple of the
 /// 32-lane warp"): {8, 16, 32, 64, 128, 256, 512}.

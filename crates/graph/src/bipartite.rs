@@ -228,12 +228,6 @@ impl BipartiteGraph {
         &self.a_eids[self.a_offsets[a as usize]..self.a_offsets[a as usize + 1]]
     }
 
-    /// Edge-id slice of the B-side CSR row for `b`.
-    #[inline]
-    pub fn row_b(&self, b: VertexId) -> &[EdgeId] {
-        &self.b_eids[self.b_offsets[b as usize]..self.b_offsets[b as usize + 1]]
-    }
-
     /// B-side endpoints of the A-side CSR row for `a`, ascending —
     /// parallel to [`BipartiteGraph::row_a`]. The overlap build's merge
     /// intersections walk this slice against `B`'s adjacency.
@@ -268,11 +262,6 @@ impl BipartiteGraph {
         let r = self.a_offsets[a as usize]..self.a_offsets[a as usize + 1];
         let row = &self.a_targets[r.clone()];
         row.binary_search(&b).ok().map(|i| self.a_eids[r.start + i])
-    }
-
-    /// Total weight of all edges.
-    pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
     }
 
     /// Validates structural invariants (dual-CSR consistency, sortedness,
@@ -383,7 +372,7 @@ mod tests {
         let mut g = sample();
         let new_w = vec![9.0; g.num_edges()];
         g.set_weights(&new_w);
-        assert!((g.total_weight() - 45.0).abs() < 1e-12);
+        assert_eq!(g.weights(), &new_w[..]);
         g.check_invariants().unwrap();
         assert_eq!(g.edge_id(2, 2), Some(4));
     }

@@ -69,94 +69,6 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: &mut W) -> io::Result<()>
     Ok(())
 }
 
-/// Reads a graph in METIS format: a header line `n m` followed by one
-/// line per vertex listing its (1-indexed) neighbors. `%`-prefixed lines
-/// are comments. Weighted METIS variants (`fmt` field ≠ 0) are rejected —
-/// the alignment inputs are unweighted.
-pub fn read_metis<R: Read>(reader: R) -> io::Result<CsrGraph> {
-    let reader = BufReader::new(reader);
-    let mut lines = reader.lines().enumerate().filter(|(_, l)| match l {
-        Ok(s) => {
-            let t = s.trim();
-            !t.is_empty() && !t.starts_with('%')
-        }
-        Err(_) => true,
-    });
-    let (_, header) = lines.next().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "empty METIS file: missing header",
-        )
-    })?;
-    let header = header?;
-    let mut head = header.split_whitespace();
-    let n: usize = head
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad METIS vertex count"))?;
-    let m_declared: usize = head
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad METIS edge count"))?;
-    if let Some(fmt) = head.next() {
-        if fmt.trim_start_matches('0').chars().any(|c| c != '0') {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "weighted METIS formats are not supported",
-            ));
-        }
-    }
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(m_declared);
-    for (vertex, (lineno, line)) in lines.enumerate() {
-        if vertex >= n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {}: more adjacency lines than vertices", lineno + 1),
-            ));
-        }
-        for tok in line?.split_whitespace() {
-            let nbr: usize = tok.parse().map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("line {}: bad neighbor id: {e}", lineno + 1),
-                )
-            })?;
-            if nbr == 0 || nbr > n {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("line {}: neighbor {nbr} out of 1..={n}", lineno + 1),
-                ));
-            }
-            edges.push((vertex as VertexId, (nbr - 1) as VertexId));
-        }
-    }
-    let g = CsrGraph::from_edges(n, &edges);
-    if g.num_edges() != m_declared {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "METIS header declares {m_declared} edges, adjacency lists encode {}",
-                g.num_edges()
-            ),
-        ));
-    }
-    Ok(g)
-}
-
-/// Writes a graph in METIS format (see [`read_metis`]).
-pub fn write_metis<W: Write>(g: &CsrGraph, writer: &mut W) -> io::Result<()> {
-    writeln!(writer, "{} {}", g.num_vertices(), g.num_edges())?;
-    for u in 0..g.num_vertices() as VertexId {
-        let line: Vec<String> = g
-            .neighbors(u)
-            .iter()
-            .map(|&v| (v + 1).to_string())
-            .collect();
-        writeln!(writer, "{}", line.join(" "))?;
-    }
-    Ok(())
-}
-
 /// Convenience: reads an edge list from a file path.
 pub fn load_edge_list<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
     read_edge_list(std::fs::File::open(path)?, 0)
@@ -259,49 +171,5 @@ mod tests {
         let g = read_edge_list("".as_bytes(), 0).unwrap();
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn metis_roundtrip() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
-        let mut buf = Vec::new();
-        write_metis(&g, &mut buf).unwrap();
-        let g2 = read_metis(buf.as_slice()).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn metis_parses_comments_and_1_indexing() {
-        let text = "% a comment\n3 2\n2\n1 3\n2\n";
-        let g = read_metis(text.as_bytes()).unwrap();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.num_edges(), 2);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 2));
-    }
-
-    #[test]
-    fn metis_rejects_bad_input() {
-        assert!(read_metis("".as_bytes()).is_err(), "missing header");
-        assert!(
-            read_metis("2 1\n5\n\n".as_bytes()).is_err(),
-            "neighbor out of range"
-        );
-        assert!(
-            read_metis("2 9\n2\n1\n".as_bytes()).is_err(),
-            "edge count mismatch"
-        );
-        assert!(
-            read_metis("2 1 011\n2\n1\n".as_bytes()).is_err(),
-            "weighted fmt"
-        );
-    }
-
-    #[test]
-    fn metis_isolated_vertices() {
-        let text = "3 1\n2\n1\n\n";
-        let g = read_metis(text.as_bytes()).unwrap();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.degree(2), 0);
     }
 }

@@ -25,13 +25,6 @@ pub fn remove_edges(g: &CsrGraph, fraction: f64, rng: &mut Rng) -> CsrGraph {
     CsrGraph::from_edges(g.num_vertices(), &edges)
 }
 
-/// Inserts `⌊fraction · |E|⌋` uniformly random non-edges.
-pub fn add_edges(g: &CsrGraph, fraction: f64, rng: &mut Rng) -> CsrGraph {
-    assert!(fraction >= 0.0, "fraction must be non-negative");
-    let extra_count = ((g.num_edges() as f64) * fraction).floor() as usize;
-    add_edges_count(g, extra_count, rng)
-}
-
 /// Inserts exactly `extra_count` uniformly random non-edges.
 pub fn add_edges_count(g: &CsrGraph, extra_count: usize, rng: &mut Rng) -> CsrGraph {
     let n = g.num_vertices();
@@ -101,7 +94,7 @@ mod tests {
     fn add_inserts_fresh_edges() {
         let mut rng = Rng::new(3);
         let g = erdos_renyi_gnm(100, 200, &mut rng);
-        let h = add_edges(&g, 0.5, &mut rng);
+        let h = add_edges_count(&g, 100, &mut rng);
         assert_eq!(h.num_edges(), 300);
         h.check_invariants().unwrap();
         for (u, v) in g.edges() {

@@ -46,15 +46,6 @@ pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
     }
 }
 
-/// Degree histogram: `hist[d]` = number of vertices of degree `d`.
-pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for u in 0..g.num_vertices() as VertexId {
-        hist[g.degree(u)] += 1;
-    }
-    hist
-}
-
 /// Global clustering coefficient: `3 · #triangles / #wedges`.
 /// Returns 0 when the graph has no wedges.
 pub fn global_clustering(g: &CsrGraph) -> f64 {
@@ -128,17 +119,6 @@ mod tests {
     fn clustering_of_star_is_zero() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         assert_eq!(global_clustering(&g), 0.0);
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let mut rng = Rng::new(1);
-        let g = erdos_renyi_gnm(200, 500, &mut rng);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), 200);
-        // Sum of d * hist[d] = 2|E|.
-        let stubs: usize = hist.iter().enumerate().map(|(d, &c)| d * c).sum();
-        assert_eq!(stubs, 1000);
     }
 
     #[test]

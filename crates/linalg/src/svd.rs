@@ -155,11 +155,6 @@ impl Svd {
         }
         us.matmul(&self.v.transpose())
     }
-
-    /// Spectral norm (largest singular value); 0 for an empty spectrum.
-    pub fn spectral_norm(&self) -> f64 {
-        self.sigma.first().copied().unwrap_or(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -237,13 +232,5 @@ mod tests {
         let svd = jacobi_svd(&a);
         assert!(svd.sigma.iter().all(|&s| s == 0.0));
         assert!(svd.reconstruct().max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn spectral_norm_dominates_entries() {
-        let mut rng = Rng::new(4);
-        let a = DenseMatrix::gaussian(10, 10, &mut rng);
-        let svd = jacobi_svd(&a);
-        assert!(svd.spectral_norm() >= a.max_abs() - 1e-9);
     }
 }
