@@ -12,8 +12,16 @@
 //! ([`cualign_linalg::qr::householder_qr`]) against its pinned
 //! column-at-a-time oracle on an `n × 80` Gaussian block (the default
 //! spectral block, `dim + oversample`), each the median of
-//! [`QR_REPS`] runs and asserted bit-identical in-process, plus one
-//! default [`cualign_embed::spectral_embedding`] of a BA(`n`, 4) graph:
+//! [`REPS`] runs and asserted bit-identical in-process, plus one
+//! default [`cualign_embed::spectral_embedding`] of a BA(`n`, 4) graph.
+//! A last `"bench":"dense"` record times the two small dense solvers of
+//! the front half against their Jacobi oracles, each the median of
+//! [`REPS`] runs: [`symmetric_eigen`] on the 80 × 80 Rayleigh–Ritz
+//! matrix of a default embedding of BA(400, 4), and [`jacobi_svd`] on a
+//! 64 × 64 Procrustes cross-covariance `Xᵀ(X·Q₀ + 0.3·noise)`. It
+//! records the largest eigenvalue, eigen-residual, singular value and
+//! `U·Vᵀ` deviations and asserts each within its
+//! `docs/APPROXIMATION.md` bound before writing:
 //!
 //! ```text
 //! cargo run --release -p cualign-bench --bin bench_subspace
@@ -39,14 +47,16 @@ use cualign_embed::{
 };
 use cualign_graph::generators::barabasi_albert;
 use cualign_graph::{CsrGraph, Permutation};
-use cualign_linalg::qr::{householder_qr, householder_qr_reference, QrDecomposition};
+use cualign_linalg::eig::{symmetric_eigen, symmetric_eigen_reference};
+use cualign_linalg::qr::{householder_qr, householder_qr_reference, orthonormalize};
+use cualign_linalg::svd::{jacobi_svd, jacobi_svd_reference, Svd};
 use cualign_linalg::{sinkhorn, sinkhorn_reference, DenseMatrix};
 use cualign_rt::Rng;
 
 const SEED: u64 = 42;
 
-/// Timed repetitions per QR cell; the record keeps the median.
-const QR_REPS: usize = 5;
+/// Timed repetitions per timed kernel; the record keeps the median.
+const REPS: usize = 5;
 
 fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
     match std::env::var(name) {
@@ -75,7 +85,7 @@ fn planted(n: usize, d: usize, seed: u64) -> Instance {
     let p = Permutation::random(n, &mut rng);
     let gb = p.apply_to_graph(&ga);
     let y1 = DenseMatrix::gaussian(n, d, &mut rng);
-    let q0 = cualign_linalg::qr::orthonormalize(&DenseMatrix::gaussian(d, d, &mut rng));
+    let q0 = orthonormalize(&DenseMatrix::gaussian(d, d, &mut rng));
     let rotated = y1.matmul(&q0);
     let noise = DenseMatrix::gaussian(n, d, &mut rng);
     let mut y2 = DenseMatrix::zeros(n, d);
@@ -89,12 +99,11 @@ fn planted(n: usize, d: usize, seed: u64) -> Instance {
     Instance { ga, gb, y1, y2 }
 }
 
-fn max_abs_diff(a: &DenseMatrix, b: &DenseMatrix) -> f64 {
-    a.data()
-        .iter()
-        .zip(b.data())
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
         .map(|(x, y)| (x - y).abs())
-        .fold(0.0f64, f64::max)
+        .fold(0.0, f64::max)
 }
 
 /// Kernel-level agreement on the cell's live operands: cost matrices to
@@ -102,14 +111,14 @@ fn max_abs_diff(a: &DenseMatrix, b: &DenseMatrix) -> f64 {
 fn assert_kernels_agree(inst: &Instance, cfg: &SubspaceAlignConfig, anchors: usize, d: usize) {
     let cost = pairwise_cost(&inst.y1, &inst.y2);
     let cost_ref = pairwise_cost_reference(&inst.y1, &inst.y2);
-    let dc = max_abs_diff(&cost, &cost_ref);
+    let dc = max_abs_diff(cost.data(), cost_ref.data());
     assert!(
         dc < 1e-9,
         "cost kernels diverged by {dc:e} at anchors = {anchors}, d = {d}"
     );
     let fast = sinkhorn(&cost, &cfg.sinkhorn);
     let oracle = sinkhorn_reference(&cost_ref, &cfg.sinkhorn);
-    let dp = max_abs_diff(&fast.plan, &oracle.plan);
+    let dp = max_abs_diff(fast.plan.data(), oracle.plan.data());
     assert!(
         dp < 1e-9,
         "Sinkhorn plans diverged by {dp:e} at anchors = {anchors}, d = {d}"
@@ -124,17 +133,17 @@ fn bits_equal(a: &DenseMatrix, b: &DenseMatrix) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Median wall-clock of [`QR_REPS`] runs of `qr(a)`, and the last result.
-fn time_qr(a: &DenseMatrix, qr: fn(&DenseMatrix) -> QrDecomposition) -> (f64, QrDecomposition) {
-    let mut times = Vec::with_capacity(QR_REPS);
+/// Median wall-clock of [`REPS`] runs of `f`, and the last result.
+fn time_median<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut times = Vec::with_capacity(REPS);
     let mut out = None;
-    for _ in 0..QR_REPS {
+    for _ in 0..REPS {
         let t = Instant::now();
-        out = Some(qr(a));
+        out = Some(f());
         times.push(t.elapsed().as_secs_f64());
     }
     times.sort_by(f64::total_cmp);
-    (times[QR_REPS / 2], out.expect("QR_REPS > 0"))
+    (times[REPS / 2], out.expect("REPS > 0"))
 }
 
 /// One `"bench":"embed"` record: QR against its oracle on the default
@@ -144,8 +153,8 @@ fn embed_record(n: usize) -> String {
     let block = cfg.dim + cfg.oversample;
     let mut rng = Rng::new(SEED ^ n as u64);
     let a = DenseMatrix::gaussian(n, block, &mut rng);
-    let (qr_s, fast) = time_qr(&a, householder_qr);
-    let (qr_reference_s, oracle) = time_qr(&a, householder_qr_reference);
+    let (qr_s, fast) = time_median(|| householder_qr(&a));
+    let (qr_reference_s, oracle) = time_median(|| householder_qr_reference(&a));
     assert!(
         bits_equal(&fast.q, &oracle.q) && bits_equal(&fast.r, &oracle.r),
         "householder_qr diverged bitwise from its reference at {n} × {block}"
@@ -170,6 +179,101 @@ fn embed_record(n: usize) -> String {
         .num("speedup", speedup)
         .num("embed_s", embed_s)
         .str("bit_identical", "yes")
+        .finish()
+}
+
+/// The Rayleigh–Ritz matrix `XᵀSX` of a default spectral embedding of
+/// `g`: `X` is the orthonormal `dim + oversample` block after `iters`
+/// QR'd power steps on `S = D^{-1/2}AD^{-1/2}`.
+fn rayleigh_ritz_matrix(g: &CsrGraph, cfg: &SpectralConfig, rng: &mut Rng) -> DenseMatrix {
+    let n = g.num_vertices();
+    let block = cfg.dim + cfg.oversample;
+    let inv_sqrt: Vec<f64> = (0..n as u32)
+        .map(|u| 1.0 / (g.degree(u).max(1) as f64).sqrt())
+        .collect();
+    let apply = |x: &DenseMatrix| {
+        DenseMatrix::from_fn(n, block, |u, j| {
+            let sum: f64 = g
+                .neighbors(u as u32)
+                .iter()
+                .map(|&v| inv_sqrt[v as usize] * x[(v as usize, j)])
+                .sum();
+            inv_sqrt[u] * sum
+        })
+    };
+    let mut x = orthonormalize(&DenseMatrix::gaussian(n, block, rng));
+    for _ in 0..cfg.iters {
+        x = orthonormalize(&apply(&x));
+    }
+    x.transpose_matmul(&apply(&x))
+}
+
+fn sorted(v: &[f64]) -> Vec<f64> {
+    let mut v = v.to_vec();
+    v.sort_by(f64::total_cmp);
+    v
+}
+
+/// The `"bench":"dense"` record (module docs).
+fn dense_record() -> String {
+    let mut rng = Rng::new(SEED);
+    let cfg = SpectralConfig::default();
+    let g = barabasi_albert(400, 4, &mut rng);
+    let t = rayleigh_ritz_matrix(&g, &cfg, &mut rng);
+    let n = t.rows();
+    let (eig_s, fast) = time_median(|| symmetric_eigen(&t));
+    let (eig_reference_s, oracle) = time_median(|| symmetric_eigen_reference(&t));
+    let lambda_max = oracle.values.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    let dlambda = max_abs_diff(&sorted(&fast.values), &sorted(&oracle.values));
+    let tv = t.matmul(&fast.vectors);
+    let residual = (0..n)
+        .map(|j| {
+            (0..n)
+                .map(|i| (tv[(i, j)] - fast.values[j] * fast.vectors[(i, j)]).powi(2))
+                .sum::<f64>()
+                .sqrt()
+        })
+        .fold(0.0, f64::max);
+    let t_norm = t.frobenius_norm();
+    assert!(
+        dlambda <= 1e-12 * lambda_max && residual <= 1e-12 * t_norm,
+        "symmetric_eigen off its oracle: |Δλ| {dlambda:e}, residual {residual:e}"
+    );
+
+    let d = cfg.dim;
+    let x = DenseMatrix::gaussian(400, d, &mut rng);
+    let q0 = orthonormalize(&DenseMatrix::gaussian(d, d, &mut rng));
+    let mut y = DenseMatrix::gaussian(400, d, &mut rng);
+    y.scale(0.3);
+    let m = x.transpose_matmul(&x.matmul(&q0).add(&y));
+    let (svd_s, fast) = time_median(|| jacobi_svd(&m));
+    let (svd_reference_s, oracle) = time_median(|| jacobi_svd_reference(&m));
+    let polar = |s: &Svd| s.u.matmul(&s.v.transpose());
+    let dsigma = max_abs_diff(&fast.sigma, &oracle.sigma);
+    let dq = max_abs_diff(polar(&fast).data(), polar(&oracle).data());
+    assert!(
+        dsigma <= 1e-12 * oracle.sigma[0] && dq <= 1e-10,
+        "jacobi_svd off its oracle: |Δσ| {dsigma:e}, |ΔUVᵀ| {dq:e}"
+    );
+    println!(
+        "  dense: eigen {n}×{n} {eig_s:>8.5}s vs reference {eig_reference_s:>8.5}s \
+         (|Δλ| {dlambda:.1e}, residual {residual:.1e}); svd {d}×{d} {svd_s:>8.5}s vs \
+         reference {svd_reference_s:>8.5}s (|Δσ| {dsigma:.1e}, |ΔUVᵀ| {dq:.1e})"
+    );
+    JsonRecord::new()
+        .str("bench", "dense")
+        .int("eig_n", n)
+        .int("svd_n", d)
+        .host()
+        .num("eig_s", eig_s)
+        .num("eig_reference_s", eig_reference_s)
+        .num("eig_dlambda_max", dlambda)
+        .num("eig_residual_max", residual)
+        .num("svd_s", svd_s)
+        .num("svd_reference_s", svd_reference_s)
+        .num("svd_dsigma_max", dsigma)
+        .num("svd_dq_max", dq)
+        .str("within_tolerance", "yes")
         .finish()
 }
 
@@ -221,7 +325,7 @@ fn main() {
                     align_subspaces_reference(&inst.y1, &inst.y2, &inst.ga, &inst.gb, &cfg)
                         .expect("planted instance is valid");
                 let reference_s = t.elapsed().as_secs_f64();
-                let dq = max_abs_diff(&fast.rotation, &oracle.rotation);
+                let dq = max_abs_diff(fast.rotation.data(), oracle.rotation.data());
                 rec = rec
                     .num("reference_s", reference_s)
                     .num("speedup", reference_s / fast_s)
@@ -252,6 +356,7 @@ fn main() {
     for &n in &embed_ns {
         lines.push(embed_record(n));
     }
+    lines.push(dense_record());
 
     let mut f = std::fs::File::create(&out_path).expect("record sink is writable");
     for line in &lines {

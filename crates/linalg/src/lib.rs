@@ -13,8 +13,13 @@
 //! * [`qr`] — Householder QR and orthonormalization (the dominant cost of
 //!   the spectral embedding's subspace iteration, and the randomized range
 //!   finder; row-streaming, bitwise-pinned to a column-at-a-time reference),
-//! * [`svd`] — one-sided Jacobi SVD (the paper's Eq. 2 solver takes SVDs of
-//!   small `d × d` cross-covariance matrices),
+//! * [`eig`] — symmetric eigendecomposition by Householder
+//!   tridiagonalization and implicit-shift QL (the spectral embedder's
+//!   Rayleigh–Ritz step), tolerance-pinned to a cyclic Jacobi reference,
+//! * [`svd`] — one-sided Jacobi SVD started from the eigenvectors of
+//!   `AᵀA` (the paper's Eq. 2 solver takes SVDs of small `d × d`
+//!   cross-covariance matrices), tolerance-pinned to the identity-started
+//!   sweeps,
 //! * [`procrustes`] — the orthogonal-Procrustes rotation solver,
 //! * [`sinkhorn`](mod@sinkhorn) — entropic optimal transport (the "Sinkhorn optimization"
 //!   of §4.1) for soft correspondences between embeddings,
@@ -26,8 +31,8 @@
 //!   normalization).
 //!
 //! Accuracy targets are those of the alignment pipeline: embeddings are
-//! `d ≤ 256` dimensional, so `d × d` factorizations dominated by Jacobi
-//! sweeps are both fast and accurate to near machine precision.
+//! `d ≤ 256` dimensional, so the `d × d` eigen- and singular value
+//! factorizations are both fast and accurate to near machine precision.
 //!
 //! **Place in the pipeline** (paper Fig. 2): a leaf utility crate under
 //! stage 1 — `cualign-embed` calls into it for every factorization and

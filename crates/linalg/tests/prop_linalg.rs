@@ -5,7 +5,7 @@ use cualign_graph::{generators, CsrGraph};
 use cualign_linalg::eig::{symmetric_eigen, symmetric_eigen_reference, SymmetricEigen};
 use cualign_linalg::qr::{householder_qr, householder_qr_reference, orthonormalize};
 use cualign_linalg::sinkhorn::{sinkhorn, SinkhornOptions};
-use cualign_linalg::svd::jacobi_svd;
+use cualign_linalg::svd::{jacobi_svd, jacobi_svd_reference};
 use cualign_linalg::{orthogonal_procrustes, vecops, DenseMatrix};
 use cualign_rt::check::cases;
 use cualign_rt::Rng;
@@ -130,12 +130,44 @@ fn eig_identities() {
     });
 }
 
-fn assert_eigen_bits_eq(fast: &SymmetricEigen, slow: &SymmetricEigen, what: &str) {
+/// The QL eigensolver against the Jacobi oracle on the symmetric `m`:
+/// eigenvalues within `1e-12·max|λ|`, every residual `‖mv − λv‖₂`
+/// within `1e-12·‖m‖_F`, `V` orthonormal to `1e-12`, and the |λ|
+/// descending order. Eigenvectors are not compared: a repeated
+/// eigenvalue's basis and each vector's sign are arbitrary.
+fn assert_eigen_close(m: &DenseMatrix, fast: &SymmetricEigen, slow: &SymmetricEigen, what: &str) {
+    let n = m.rows();
     assert_eq!(fast.values.len(), slow.values.len());
-    for (j, (x, y)) in fast.values.iter().zip(&slow.values).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what} λ[{j}]: {x} vs {y}");
+    let scale = slow.values.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
+    let (mut fv, mut sv) = (fast.values.clone(), slow.values.clone());
+    fv.sort_by(f64::total_cmp);
+    sv.sort_by(f64::total_cmp);
+    for (j, (x, y)) in fv.iter().zip(&sv).enumerate() {
+        assert!(
+            (x - y).abs() <= 1e-12 * scale,
+            "{what}: λ[{j}] {x} vs {y} (max |λ| {scale})"
+        );
     }
-    assert_bits_eq(&fast.vectors, &slow.vectors, what);
+    assert!(
+        fast.values.windows(2).all(|w| w[0].abs() >= w[1].abs()),
+        "{what}: not ordered by |λ|"
+    );
+    let norm = m.frobenius_norm();
+    let mv = m.matmul(&fast.vectors);
+    for j in 0..n {
+        let residual = (0..n)
+            .map(|i| (mv[(i, j)] - fast.values[j] * fast.vectors[(i, j)]).powi(2))
+            .sum::<f64>()
+            .sqrt();
+        assert!(
+            residual <= 1e-12 * norm,
+            "{what}: residual {residual:e} of pair {j} (‖M‖_F {norm})"
+        );
+    }
+    assert!(
+        fast.vectors.is_orthonormal(1e-12),
+        "{what}: V not orthonormal"
+    );
 }
 
 /// `Q · diag(λ) · Qᵀ` for a random orthonormal `Q`.
@@ -179,11 +211,11 @@ fn rayleigh_ritz(g: &CsrGraph, block: usize, iters: usize, seed: u64) -> DenseMa
     x.transpose_matmul(&apply(&x))
 }
 
-/// The early-exit Jacobi eigensolver is bit-identical to the full-budget
-/// reference: random symmetric matrices of size 1–96, repeated
-/// eigenvalues, diagonal, zero and rank-1 matrices.
+/// The QL eigensolver agrees with the Jacobi reference to tolerance
+/// ([`assert_eigen_close`]): random symmetric matrices of size 1–96,
+/// repeated eigenvalues, diagonal, zero and rank-1 matrices.
 #[test]
-fn eig_matches_reference_bitwise() {
+fn eig_matches_reference_to_tolerance() {
     cases(40, 8, |rng| {
         let seed = rng.below(10_000) as u64;
         let n = match rng.below(4) {
@@ -214,15 +246,12 @@ fn eig_matches_reference_bitwise() {
         };
         let fast = symmetric_eigen(&m);
         let slow = symmetric_eigen_reference(&m);
-        assert_eigen_bits_eq(&fast, &slow, &format!("n = {n}"));
-        assert!(fast.sweeps <= slow.sweeps);
+        assert_eigen_close(&m, &fast, &slow, &format!("n = {n}"));
     });
 }
 
 /// The same pin on the matrices the pipeline actually solves: the
 /// spectral embedder's Rayleigh–Ritz matrices on every generator family.
-/// There the norm test never ends the reference early, and the fast path
-/// must stop well short of the 60-sweep budget.
 #[test]
 fn eig_matches_reference_on_rayleigh_ritz_matrices() {
     let mut rng = Rng::new(9);
@@ -237,10 +266,56 @@ fn eig_matches_reference_on_rayleigh_ritz_matrices() {
         let t = rayleigh_ritz(g, 48, 20, k as u64);
         let fast = symmetric_eigen(&t);
         let slow = symmetric_eigen_reference(&t);
-        assert_eigen_bits_eq(&fast, &slow, &format!("family {k}"));
-        assert_eq!(slow.sweeps, 60, "family {k}: the norm test is never met");
-        assert!(fast.sweeps < 60, "family {k}: {} sweeps", fast.sweeps);
+        assert_eigen_close(&t, &fast, &slow, &format!("family {k}"));
     }
+}
+
+/// The eigenvector-started SVD against the identity-started oracle on
+/// full-rank Gaussian inputs up to the subspace stage's `d = 64`,
+/// square and tall: singular values within `1e-12·σ₀` and the
+/// Procrustes factor `U·Vᵀ` within `1e-10`.
+#[test]
+fn svd_matches_reference_to_tolerance() {
+    cases(40, 10, |rng| {
+        let n = match rng.below(3) {
+            0 => rng.range(1..65),
+            _ => rng.range(1..20),
+        };
+        let m = if rng.below(2) == 0 {
+            n
+        } else {
+            n + rng.below(30)
+        };
+        let a = gaussian(m, n, rng.below(10_000) as u64);
+        let (fast, slow) = (jacobi_svd(&a), jacobi_svd_reference(&a));
+        for (j, (x, y)) in fast.sigma.iter().zip(&slow.sigma).enumerate() {
+            assert!(
+                (x - y).abs() <= 1e-12 * slow.sigma[0],
+                "{m} × {n}: σ[{j}] {x} vs {y}"
+            );
+        }
+        let polar = |s: &cualign_linalg::Svd| s.u.matmul(&s.v.transpose());
+        let dq = polar(&fast).sub(&polar(&slow)).max_abs();
+        assert!(dq <= 1e-10, "{m} × {n}: |ΔUVᵀ| = {dq:e}");
+    });
+}
+
+/// `orthogonal_procrustes` agrees with the rotation built from the
+/// reference SVD of the same cross-covariance to `1e-10`, on noisy
+/// rotated pairs of the subspace stage's shape.
+#[test]
+fn procrustes_matches_reference_svd() {
+    cases(24, 11, |rng| {
+        let (m, d) = (rng.range(64..200), rng.range(2..65));
+        let seed = rng.below(10_000) as u64;
+        let x = gaussian(m, d, seed);
+        let q_true = orthonormalize(&gaussian(d, d, seed + 1));
+        let y = x.matmul(&q_true).add(&gaussian(m, d, seed + 2));
+        let q = orthogonal_procrustes(&x, &y);
+        let oracle = jacobi_svd_reference(&x.transpose_matmul(&y));
+        let dq = q.sub(&oracle.u.matmul(&oracle.v.transpose())).max_abs();
+        assert!(dq <= 1e-10, "{m} × {d}: |ΔQ| = {dq:e}");
+    });
 }
 
 /// Procrustes returns an orthogonal matrix and exactly recovers a

@@ -38,6 +38,7 @@ pub const REQUIRED_KERNELS: &[&str] = &[
     "sinkhorn",
     "pairwise_cost",
     "symmetric_eigen",
+    "jacobi_svd",
     "suitor_matching",
     "spectral_embedding",
 ];

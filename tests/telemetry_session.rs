@@ -246,3 +246,35 @@ fn both_embeddings_record_under_session_embed() {
         assert_eq!(snap.counters["embed.builds"], 2);
     }
 }
+
+/// Each embedding times its Rayleigh–Ritz step in one
+/// `embed.rayleigh_ritz` span nested under its own `embed.spectral`, at
+/// every thread count, so the small eigenproblem shows in the span tree.
+#[test]
+fn rayleigh_ritz_records_under_embed_spectral() {
+    let inst = instance(15, 100, 300);
+    for threads in [1, 2] {
+        let reg = fresh_registry();
+        par::with_threads(threads, || {
+            with_registry(reg, || {
+                let mut s = AlignmentSession::new(&inst.a, &inst.b, test_cfg()).unwrap();
+                s.embeddings().unwrap();
+            })
+        });
+        let snap = reg.snapshot();
+        let spectral = snap
+            .spans
+            .get(&["session.embed", "embed.spectral"])
+            .expect("embed.spectral under session.embed");
+        let rr = spectral
+            .children
+            .get("embed.rayleigh_ritz")
+            .unwrap_or_else(|| panic!("{threads} threads: no embed.rayleigh_ritz child"));
+        assert_eq!(
+            rr.calls, 2,
+            "{threads} threads: one Rayleigh–Ritz step per side"
+        );
+        assert!(rr.total_s <= spectral.total_s);
+        assert_eq!(spectral.children.len(), 1);
+    }
+}
